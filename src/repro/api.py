@@ -77,8 +77,10 @@ __all__ = [
 #: Version of the public scenario/event surface (``major.minor``): the
 #: minor bumps on compatible additions, the major on breaking changes.
 #: 2.0 introduced :class:`ScenarioSpec`, the typed :func:`run_scenario`
-#: signature, and the streaming-service event types.
-API_VERSION = "2.0"
+#: signature, and the streaming-service event types.  3.0 removed the
+#: ``engine`` world field and its enum from ``repro.p2p``: the batched
+#: query-cycle engine is the only production engine.
+API_VERSION = "3.0"
 
 #: The socialtrust-wrapped counterpart of each base reputation stack.
 _SOCIALTRUST_OF = {
@@ -261,7 +263,7 @@ class ScenarioSpec:
     which reputation ``system`` to run, which ``collusion`` model to
     schedule, the RNG identity ``(seed, run_index)``, and any
     :class:`~repro.experiments.setup.WorldConfig` overrides in ``world``
-    (keyed by field name, e.g. ``{"n_nodes": 100, "engine": "batched"}``).
+    (keyed by field name, e.g. ``{"n_nodes": 100, "n_colluders": 15}``).
 
     ``system`` and ``collusion`` accept strings and are resolved to their
     enum members on construction; ``world`` is validated against the

@@ -120,12 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--cycles", type=int, default=25)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument(
-        "--engine",
-        default="batched",
-        choices=["batched", "scalar"],
-        help="query-cycle engine (scalar is the reference implementation)",
-    )
-    sim.add_argument(
         "--trace",
         type=Path,
         default=None,
@@ -601,7 +595,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             collusion=args.collusion,
             colluder_b=args.colluder_b,
             simulation_cycles=args.cycles,
-            engine=args.engine,
             n_managers=args.managers,
         )
         if chaos is not None:
@@ -628,7 +621,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             collusion=args.collusion,
             colluder_b=args.colluder_b,
             simulation_cycles=args.cycles,
-            engine=args.engine,
             seed=args.seed,
             observability=args.trace is not None,
         )

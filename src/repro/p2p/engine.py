@@ -36,20 +36,26 @@ random draw**.  Three observations make this possible:
    is then a couple of list lookups and one bisect, regardless of how
    saturated the cycle gets.
 
+4. A network partition is a per-client restriction of the candidate
+   set to the client's own side.  Under a partition the hoisted
+   structures are built once per (side, interest) pair, so a client
+   simply picks from its own side's lists.  With no partition active
+   there is one side and the per-request loop does no extra work.
+
 Outcomes are buffered per query cycle and flushed through the batched
 ``record_many`` entry points of the rating/interaction/profile/metric
 ledgers (``np.add.at`` is unbuffered and the increments are exact
 ``float64`` integers, so batching preserves bit-identity as well).
 
-The seed loop is kept verbatim behind :attr:`EngineMode.SCALAR` — it is
-the reference implementation the property tests and the engine benchmark
-compare against.
+The seed loop this engine replaces lives on as the test oracle in
+:mod:`repro.qa.reference`; the property tests, the engine fuzzer and the
+engine benchmark compare against it.
 """
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_left, bisect_right
+from itertools import product
 from time import perf_counter
 
 import numpy as np
@@ -66,29 +72,18 @@ from repro.social.interactions import InteractionLedger
 from repro.social.interests import InterestProfiles
 from repro.utils.rng import RngStream
 
-__all__ = ["EngineMode", "BatchedQueryEngine"]
-
-
-class EngineMode(enum.Enum):
-    """Which query-cycle implementation a simulation runs.
-
-    ``SCALAR`` is the seed per-client loop (reference implementation);
-    ``BATCHED`` is the vectorised engine, bit-identical to it.
-    """
-
-    SCALAR = "scalar"
-    BATCHED = "batched"
+__all__ = ["BatchedQueryEngine"]
 
 
 class BatchedQueryEngine:
-    """Drop-in replacement for ``Simulation._run_query_cycle``.
+    """The query-cycle loop of :class:`~repro.p2p.simulator.Simulation`.
 
     Consumes the simulation's :class:`~repro.utils.rng.RngStream` in
     exactly the seed order; see the module docstring for why the streams
     stay aligned.  :meth:`begin_interval` must be called once per
     simulation cycle (after fault-injector advance/decay, before the first
     query cycle) so the hoisted per-interest structures see the current
-    reputations and online mask.
+    reputations, online mask and partition.
     """
 
     def __init__(
@@ -153,9 +148,15 @@ class BatchedQueryEngine:
 
         # Interval masters, populated by begin_interval(); per-query-cycle
         # working copies diverge from them only on capacity exhaustion and
-        # are restored lazily at the next cycle start.
+        # are restored lazily at the next cycle start.  The candidate lists
+        # are indexed by key = side offset + interest: the offset is 0 for
+        # every node while the network is whole, and 0 / k for the two
+        # partition sides while it is split.
         self._churned = False
         self._online: np.ndarray | None = None
+        self._partition: np.ndarray | None = None
+        self._client_keys: list[list[int]] = self._choice_lists
+        self._server_keys: list[list[int]] = self._node_interests
         self._q_list: list[bool] = []
         self._q_mask: np.ndarray | None = None
         self._m_avail: list[list[int]] = []
@@ -175,28 +176,38 @@ class BatchedQueryEngine:
     def begin_interval(self, reputations: np.ndarray) -> None:
         """Hoist per-interest selection structures for one simulation cycle.
 
-        Reputations and the churn mask are constant between reputation
-        updates, so available, qualified and weighted-cdf structures are
-        built once here instead of once per request.
-
-        The hoisted structures assume every online server is reachable
-        from every client, which a network partition breaks — partitioned
-        intervals must run through the scalar reference loop instead
-        (:class:`~repro.p2p.simulator.Simulation` routes them there).
+        Reputations, the churn mask and the partition are constant between
+        reputation updates, so available, qualified and weighted-cdf
+        structures are built once here instead of once per request — one
+        set per interest, or one per (partition side, interest) pair while
+        the network is split.
         """
-        if self._injector is not None and self._injector.partition_active:
-            raise RuntimeError(
-                "batched engine cannot run a partitioned interval; "
-                "route partition cycles through the scalar loop"
-            )
         with self._tracer.span("engine.candidate_build", interests=self._k):
             self._begin_interval(reputations)
 
     def _begin_interval(self, reputations: np.ndarray) -> None:
         reps = np.asarray(reputations, dtype=np.float64)
-        online = self._injector.online_mask if self._injector is not None else None
+        injector = self._injector
+        online = injector.online_mask if injector is not None else None
         self._online = online
         self._churned = online is not None and not online.all()
+        partition = injector.partition_mask if injector is not None else None
+        self._partition = partition
+        if partition is None:
+            sides = (None,)
+            self._client_keys = self._choice_lists
+            self._server_keys = self._node_interests
+        else:
+            sides = (partition, ~partition)
+            offsets = np.where(partition, 0, self._k).tolist()
+            self._client_keys = [
+                [li + off for li in choices]
+                for choices, off in zip(self._choice_lists, offsets)
+            ]
+            self._server_keys = [
+                [li + off for li in interests]
+                for interests, off in zip(self._node_interests, offsets)
+            ]
         q_mask = reps > self._threshold
         self._q_mask = q_mask
         self._q_list = q_mask.tolist()
@@ -208,9 +219,11 @@ class BatchedQueryEngine:
         self._m_qual_w = []
         self._m_qual_total = []
         self._m_qual_cdf = []
-        for prov in self._all_providers:
+        for side, prov in product(sides, self._all_providers):
             if self._churned:
                 prov = prov[online[prov]]
+            if side is not None:
+                prov = prov[side[prov]]
             # Providers whose total capacity is zero can never clear the
             # seed's remaining-capacity filter; exclude them outright.
             avail = prov[self._capacities[prov] > 0]
@@ -241,7 +254,7 @@ class BatchedQueryEngine:
         self._modified = set()
 
     def _restore_modified(self) -> None:
-        """Reset the working candidate structures of interests touched by
+        """Reset the working candidate structures of keys touched by
         capacity exhaustion back to the interval masters."""
         threshold_based = self._policy is not SelectionPolicy.RANDOM
         weighted = self._policy is SelectionPolicy.REPUTATION_WEIGHTED
@@ -257,8 +270,9 @@ class BatchedQueryEngine:
 
     def _exhaust_server(self, server: int) -> None:
         """Drop a capacity-exhausted server from its interests' candidate
-        structures; weighted cdfs are rebuilt with the exact float sequence
-        the seed would produce over the surviving candidates."""
+        structures (on its own partition side); weighted cdfs are rebuilt
+        with the exact float sequence the seed would produce over the
+        surviving candidates."""
         if self._trace_on:
             start = perf_counter()
             try:
@@ -272,7 +286,7 @@ class BatchedQueryEngine:
         q = self._q_list[server]
         threshold_based = self._policy is not SelectionPolicy.RANDOM
         weighted = self._policy is SelectionPolicy.REPUTATION_WEIGHTED
-        for li in self._node_interests[server]:
+        for li in self._server_keys[server]:
             self._modified.add(li)
             al = self._avail[li]
             del al[bisect_left(al, server)]
@@ -318,6 +332,7 @@ class BatchedQueryEngine:
         np.copyto(remaining_capacity, self._capacities)
         online = self._online
         churned = self._churned
+        partition = self._partition
         if trace_on:
             self._cache_patch_s = 0.0
         if self._modified:
@@ -339,7 +354,7 @@ class BatchedQueryEngine:
         explore = exploration > 0.0 and not random_policy
         rnd = rng.random
         rint = rng.integers
-        choice_lists = self._choice_lists
+        key_lists = self._client_keys
         cdf_lists = self._cdf_lists
         avail_cur = self._avail
         qual_cur = self._qual
@@ -348,12 +363,11 @@ class BatchedQueryEngine:
         qual_cdf_cur = self._qual_cdf
         q_list = self._q_list
         authentic = self._authentic
-        node_interests = self._node_interests
 
         ev_clients: list[int] = []
         ev_servers: list[int] = []
         ev_values: list[float] = []
-        ev_interests: list[int] = []
+        ev_keys: list[int] = []
         unserved: list[int] = []
 
         cache_before = self._cache_patch_s
@@ -361,12 +375,12 @@ class BatchedQueryEngine:
         for client in perm:
             if skip_list[client]:
                 continue
-            choices = choice_lists[client]
+            choices = key_lists[client]
             if len(choices) == 1:
-                interest = choices[0]
+                key = choices[0]
             else:
-                interest = choices[bisect_right(cdf_lists[client], rnd())]
-            al = avail_cur[interest]
+                key = choices[bisect_right(cdf_lists[client], rnd())]
+            al = avail_cur[key]
             sz = len(al)
             pos = bisect_left(al, client)
             present = pos < sz and al[pos] == client
@@ -378,7 +392,7 @@ class BatchedQueryEngine:
                 idx = int(rint(0, m))
                 server = al[idx] if not present or idx < pos else al[idx + 1]
             else:
-                ql = qual_cur[interest]
+                ql = qual_cur[key]
                 qsz = len(ql)
                 if qsz and q_list[client]:
                     qpos = bisect_left(ql, client)
@@ -394,7 +408,7 @@ class BatchedQueryEngine:
                     idx = int(rint(0, eff_q))
                     server = ql[idx] if not qpresent or idx < qpos else ql[idx + 1]
                 elif qpresent:
-                    w = np.delete(qual_w_cur[interest], qpos)
+                    w = np.delete(qual_w_cur[key], qpos)
                     total = w.sum()
                     if total <= 0:
                         idx = int(rint(0, eff_q))
@@ -404,10 +418,10 @@ class BatchedQueryEngine:
                         cdf /= cdf[-1]
                         idx = int(cdf.searchsorted(rnd(), side="right"))
                         server = ql[idx] if idx < qpos else ql[idx + 1]
-                elif qual_total_cur[interest] <= 0.0:
+                elif qual_total_cur[key] <= 0.0:
                     server = ql[int(rint(0, eff_q))]
                 else:
-                    server = ql[bisect_right(qual_cdf_cur[interest], rnd())]
+                    server = ql[bisect_right(qual_cdf_cur[key], rnd())]
             left = remaining_capacity[server] - 1
             remaining_capacity[server] = left
             if left == 0:
@@ -416,7 +430,7 @@ class BatchedQueryEngine:
             ev_clients.append(client)
             ev_servers.append(server)
             ev_values.append(value)
-            ev_interests.append(interest)
+            ev_keys.append(key)
 
         if trace_on:
             patched = self._cache_patch_s - cache_before
@@ -431,7 +445,9 @@ class BatchedQueryEngine:
             clients = np.asarray(ev_clients, dtype=np.int64)
             servers = np.asarray(ev_servers, dtype=np.int64)
             values = np.asarray(ev_values, dtype=np.float64)
-            interests = np.asarray(ev_interests, dtype=np.int64)
+            interests = np.asarray(ev_keys, dtype=np.int64)
+            if partition is not None:
+                interests %= self._k  # candidate-list key -> interest
             self._ledger.record_many(clients, servers, values)
             self._interactions.record_many(clients, servers)
             self._profiles.record_requests(clients, interests)
@@ -452,6 +468,9 @@ class BatchedQueryEngine:
         # Collusion bursts: same order and semantics as the seed loop.
         for burst in self._collusion.bursts(rng):
             if churned and not (online[burst.rater] and online[burst.ratee]):
+                continue
+            if partition is not None and partition[burst.rater] != partition[burst.ratee]:
+                self._metrics.faults.record_partition_block()
                 continue
             self._ledger.record_batch(
                 burst.rater, burst.ratee, burst.value, burst.count

@@ -13,12 +13,15 @@ rewrite must pass through:
   first-divergence report;
 * :mod:`repro.qa.fuzz` — stateful fuzz harnesses that drive the live
   engine with interleaved queries, rating bursts, churn joins/leaves,
-  collusion activations and manager failovers while asserting
-  machine-checked invariants (bounded reputations, batched≡scalar,
+  partitions, collusion activations and manager failovers while asserting
+  machine-checked invariants (bounded reputations, engine≡reference,
   Ωs symmetry, audit-log completeness, cache≡recompute);
 * :mod:`repro.qa.differential` — replays one seeded scenario across every
   reputation backend × engine mode and cross-checks the shared
   invariants;
+* :mod:`repro.qa.reference` — the seed scalar query-cycle loop, the
+  oracle the batched engine is compared against, installable on any
+  built simulation;
 * :mod:`repro.qa.cache_audit` — recomputes Ωc/Ωs from scratch and diffs
   the incremental matrices (the ``decay_nodes`` divergence class);
 * :mod:`repro.qa.reconvergence` — injects scripted chaos (partitions,

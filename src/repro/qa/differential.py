@@ -2,8 +2,9 @@
 
 Replays the same scenario keywords across all five reputation backends
 (EigenTrust, eBay, PowerTrust, TrustGuard, GossipTrust) and both
-query-cycle engines (batched, scalar) and cross-checks the invariants
-every cell must share regardless of backend:
+query-cycle engines (the production batched engine and the scalar
+reference loop of :mod:`repro.qa.reference`) and cross-checks the
+invariants every cell must share regardless of backend:
 
 * reputations are finite, lie in ``[0, 1]``, and sum to at most 1 (every
   backend normalises its positive mass);
@@ -54,6 +55,9 @@ BACKENDS: tuple[str, ...] = (
     "gossip",
 )
 
+#: Query-cycle engines of a cell: ``batched`` is the production engine,
+#: ``scalar`` the reference loop installed by
+#: :func:`repro.qa.reference.install_reference_loop`.
 ENGINE_MODES: tuple[str, ...] = ("batched", "scalar")
 
 #: Backends with a SocialTrust-wrapped variant.
@@ -68,6 +72,19 @@ _SUM_SLACK = 1e-9
 #: catching any genuine semantic divergence.
 COEFFICIENT_RTOL = 1e-9
 COEFFICIENT_ATOL = 1e-12
+
+
+def _build_cell(engine: str, **kwargs: Any):
+    """One scenario on the named query-cycle engine."""
+    from repro.api import build_scenario
+    from repro.qa.reference import install_reference_loop
+
+    if engine not in ENGINE_MODES:
+        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINE_MODES}")
+    scenario = build_scenario(**kwargs)
+    if engine == "scalar":
+        install_reference_loop(scenario.world.simulation)
+    return scenario
 
 
 @dataclass(frozen=True)
@@ -174,8 +191,6 @@ def run_differential(
     :func:`repro.api.build_scenario` (defaults here are a small, fast
     world — raise ``n_nodes``/``cycles`` for a deeper sweep).
     """
-    from repro.api import build_scenario
-
     unknown = sorted(set(backends) - set(BACKENDS))
     if unknown:
         raise ValueError(f"unknown backend(s) {unknown}; choose from {BACKENDS}")
@@ -196,11 +211,11 @@ def run_differential(
         wrap = use_socialtrust and backend in _WRAPPABLE
         per_engine: dict[str, CellResult] = {}
         for engine in engines:
-            scenario = build_scenario(
+            scenario = _build_cell(
+                engine,
                 seed=seed,
                 system=backend,
                 use_socialtrust=True if wrap else None,
-                engine=engine,
                 **build,
             )
             result = scenario.run(cycles)
@@ -324,8 +339,6 @@ def run_coefficient_differential(
     core, so their cells are required to stay **bit-identical** — any
     drift there means the backend switch leaked into unrelated state.
     """
-    from repro.api import build_scenario
-
     unknown = sorted(set(backends) - set(BACKENDS))
     if unknown:
         raise ValueError(f"unknown backend(s) {unknown}; choose from {BACKENDS}")
@@ -351,11 +364,11 @@ def run_coefficient_differential(
         for engine in engines:
             results = {}
             for coeff in ("dense", "sparse"):
-                scenario = build_scenario(
+                scenario = _build_cell(
+                    engine,
                     seed=seed,
                     system=backend,
                     use_socialtrust=True if wrap else None,
-                    engine=engine,
                     socialtrust={
                         **socialtrust_overrides,
                         "coefficient_backend": coeff,

@@ -4,10 +4,12 @@ Two harnesses drive the *live* engine through interleaved operations and
 assert the pipeline's structural invariants after every step:
 
 * :class:`EngineFuzzHarness` — twin worlds built from the same seed, one
-  on the batched query engine and one on the scalar reference loop.
-  Rules run simulation cycles, inject out-of-band rating bursts, activate
-  collusion-style mutual-rating exchanges, and churn peers offline and
-  back.  After every cycle the twins must agree **bit-for-bit**, the
+  on the production query engine and one on the scalar reference loop of
+  :mod:`repro.qa.reference`.  Rules run simulation cycles, inject
+  out-of-band rating bursts, activate collusion-style mutual-rating
+  exchanges, churn peers offline and back, and split the network into
+  two partition sides and heal it.  After every cycle the twins must
+  agree **bit-for-bit** (reputations and partition-block counts), the
   reputations must stay in ``[0, 1]``, Ωs must stay symmetric, Ωc must
   stay a zero-diagonal non-negative matrix, and the detector audit log
   must contain exactly one event per examined pair.
@@ -88,7 +90,9 @@ def _check_reputation_bounds(reputations: np.ndarray, label: str) -> None:
 
 
 class EngineFuzzHarness:
-    """Twin batched/scalar worlds driven in lock-step.
+    """Twin batched/scalar worlds driven in lock-step (``scalar`` runs the
+    reference loop installed by
+    :func:`repro.qa.reference.install_reference_loop`).
 
     Every mutating rule is applied identically to both twins; the
     invariant bundle (:meth:`check_invariants`) runs after each cycle.
@@ -98,16 +102,17 @@ class EngineFuzzHarness:
     colluders = ENGINE_COLLUDERS
 
     def __init__(self, *, seed: int = 0) -> None:
-        from repro.p2p.engine import EngineMode
+        from repro.qa.reference import install_reference_loop
 
         self.seed = seed
         self.cycles = 0
         self._twins = {}
         self._obs = {}
-        for name, mode in (("batched", EngineMode.BATCHED), ("scalar", EngineMode.SCALAR)):
-            self._twins[name], self._obs[name] = self._build_twin(mode)
+        for name in ("batched", "scalar"):
+            self._twins[name], self._obs[name] = self._build_twin()
+        install_reference_loop(self._twins["scalar"])
 
-    def _build_twin(self, engine):
+    def _build_twin(self):
         """One world; both twins share the seed so they start identical."""
         from repro.collusion import PairwiseCollusion
         from repro.core import SocialTrust
@@ -160,9 +165,7 @@ class EngineFuzzHarness:
             overlay,
             system,
             rng,
-            config=SimulationConfig(
-                query_cycles_per_simulation_cycle=3, engine=engine
-            ),
+            config=SimulationConfig(query_cycles_per_simulation_cycle=3),
             collusion=PairwiseCollusion(
                 list(ENGINE_COLLUDERS), interests, ratings_per_cycle=4
             ),
@@ -221,10 +224,29 @@ class EngineFuzzHarness:
         for sim in self._twins.values():
             sim.fault_injector.restore_peer(node)
 
+    def partition(self, side_bits: int, heal_after: int | None = None) -> None:
+        """Split the network: node ``i`` sits on side A iff bit ``i`` of
+        ``side_bits`` is set (node 0 is moved when the bits do not split
+        the nodes in two).  ``heal_after`` auto-heals after that many
+        cycles.  A no-op while a partition is already active."""
+        side = ((side_bits >> np.arange(self.n_nodes)) & 1).astype(bool)
+        if side.all() or not side.any():
+            side[0] = not side[0]
+        for sim in self._twins.values():
+            sim.fault_injector.start_partition(side, heal_after=heal_after)
+
+    def heal(self) -> None:
+        for sim in self._twins.values():
+            sim.fault_injector.heal_partition()
+
     @property
     def offline_nodes(self) -> list[int]:
         sim = self._twins["batched"]
         return [int(x) for x in sim.fault_injector.offline_nodes()]
+
+    @property
+    def partition_active(self) -> bool:
+        return self._twins["batched"].fault_injector.partition_active
 
     # -- invariants ----------------------------------------------------------
 
@@ -235,6 +257,15 @@ class EngineFuzzHarness:
             raise InvariantViolation(
                 f"cycle {self.cycles}: batched and scalar engines diverged "
                 f"(max |delta| = {delta:.3e})"
+            )
+        blocks = {
+            name: sim.metrics.faults.partition_blocks
+            for name, sim in self._twins.items()
+        }
+        if blocks["batched"] != blocks["scalar"]:
+            raise InvariantViolation(
+                f"cycle {self.cycles}: partition-block counts diverged "
+                f"(batched {blocks['batched']}, scalar {blocks['scalar']})"
             )
         for name, values in reps.items():
             _check_reputation_bounds(values, f"cycle {self.cycles} [{name}]")
@@ -464,8 +495,8 @@ def _fuzz_engine(steps: int, seed: int) -> FuzzReport:
     rng = np.random.default_rng(seed)
     harness = EngineFuzzHarness(seed=seed)
     report = FuzzReport(harness="engine", steps=steps, seed=seed)
-    rules = ("run_cycle", "inject", "burst", "leave", "rejoin")
-    weights = np.array([0.35, 0.25, 0.15, 0.15, 0.10])
+    rules = ("run_cycle", "inject", "burst", "leave", "rejoin", "partition", "heal")
+    weights = np.array([0.35, 0.20, 0.15, 0.10, 0.08, 0.07, 0.05])
     try:
         for _ in range(steps):
             rule = rules[int(rng.choice(len(rules), p=weights))]
@@ -487,10 +518,18 @@ def _fuzz_engine(steps: int, seed: int) -> FuzzReport:
                 # Keep a majority online so the world stays live.
                 if len(harness.offline_nodes) < harness.n_nodes // 2:
                     harness.churn_leave(int(rng.integers(harness.n_nodes)))
-            else:
+            elif rule == "rejoin":
                 offline = harness.offline_nodes
                 if offline:
                     harness.churn_rejoin(offline[int(rng.integers(len(offline)))])
+            elif rule == "partition":
+                heal_after = int(rng.integers(4))
+                harness.partition(
+                    int(rng.integers(1 << harness.n_nodes)),
+                    heal_after=heal_after or None,
+                )
+            else:
+                harness.heal()
         report.cache_audits = harness.teardown()
     except InvariantViolation as exc:
         report.violations.append(str(exc))
@@ -596,6 +635,19 @@ def build_engine_machine(*, seed: int = 0):
         def rejoin(self, index: int) -> None:
             offline = self.harness.offline_nodes
             self.harness.churn_rejoin(offline[index % len(offline)])
+
+        @precondition(lambda self: not self.harness.partition_active)
+        @rule(
+            side_bits=st.integers(0, (1 << n) - 1),
+            heal_after=st.none() | st.integers(1, 3),
+        )
+        def partition(self, side_bits: int, heal_after: int | None) -> None:
+            self.harness.partition(side_bits, heal_after=heal_after)
+
+        @precondition(lambda self: self.harness.partition_active)
+        @rule()
+        def heal(self) -> None:
+            self.harness.heal()
 
         def teardown(self) -> None:
             self.harness.teardown()

@@ -1,15 +1,16 @@
 """Record a batch scenario run as a replayable event stream.
 
-The recorder runs a scenario through the *scalar* simulation loop (the
-seed reference implementation, property-tested bit-identical to the
-batched engine) with the three behavioural ledgers instrumented, and
-writes down every mutation the loop performs as a typed service event:
+The recorder runs a scenario through the simulation's query-cycle engine
+with the three behavioural ledgers instrumented, and writes down every
+mutation the engine performs as a typed service event:
 
-* ``ledger.record`` (a genuine serviced request) →
-  :class:`~repro.serve.events.RatingEvent` carrying the interest.  The
-  loop's companion ``interactions.record`` / ``profiles.record_request``
-  calls are folded into that composite event, not emitted separately —
-  the service re-expands a rating into exactly those three ledger calls;
+* a query cycle's served requests, flushed as ``ledger.record_many`` →
+  ``interactions.record_many`` → ``profiles.record_requests`` →
+  one :class:`~repro.serve.events.RatingEvent` per row, carrying the
+  row's interest, in the engine's client order.  The interaction and
+  request batches are folded into those composite events, not emitted
+  separately — the service re-expands a rating into exactly those three
+  ledger updates;
 * ``ledger.record_batch`` (a collusion burst) → a ``count``-carrying
   :class:`~repro.serve.events.RatingEvent` with no interest (its paired
   ``interactions.record`` is folded in the same way);
@@ -65,35 +66,32 @@ class _LedgerTap:
 
     def __init__(self, simulation) -> None:
         self.events: list[Event] = []
-        # The composite-rating fold: after a rating is recorded, the loop
-        # immediately records the implied interaction (and, for genuine
-        # requests, the interest).  Those calls are consumed silently.
+        # The composite-rating folds.  A burst's rating is followed by its
+        # implied interaction; a query cycle's rating batch is followed by
+        # the matching interaction batch and then the request batch that
+        # supplies each row's interest.  Those calls are consumed silently.
         self._fold_interaction: tuple[int, int, float] | None = None
-        self._fold_profile: tuple[int, int] | None = None
+        self._fold_rows: tuple[list[int], list[int], list[float]] | None = None
+        self._fold_stage: str | None = None
         self._ledger = simulation.ledger
         self._interactions = simulation.interactions
         self._profiles = simulation.profiles
-        orig_record = self._ledger.record
+        orig_record_many = self._ledger.record_many
         orig_record_batch = self._ledger.record_batch
         orig_interaction = self._interactions.record
+        orig_interaction_many = self._interactions.record_many
         orig_decay = self._interactions.decay_nodes
-        orig_request = self._profiles.record_request
+        orig_requests = self._profiles.record_requests
 
-        def tap_record(rating):
+        def tap_record_many(raters, ratees, values):
             self._flush_folds()
-            self.events.append(
-                RatingEvent(
-                    rater=rating.rater,
-                    ratee=rating.ratee,
-                    value=rating.value,
-                    count=1,
-                    interest=rating.interest,
-                )
+            self._fold_rows = (
+                np.asarray(raters).tolist(),
+                np.asarray(ratees).tolist(),
+                np.asarray(values, dtype=np.float64).tolist(),
             )
-            self._fold_interaction = (rating.rater, rating.ratee, 1.0)
-            if rating.interest is not None:
-                self._fold_profile = (rating.rater, rating.interest)
-            return orig_record(rating)
+            self._fold_stage = "interactions"
+            return orig_record_many(raters, ratees, values)
 
         def tap_record_batch(rater, ratee, value, count):
             self._flush_folds()
@@ -105,12 +103,6 @@ class _LedgerTap:
             self._fold_interaction = (rater, ratee, float(count))
             return orig_record_batch(rater, ratee, value, count)
 
-        def tap_record_many(*args, **kwargs):
-            raise RuntimeError(
-                "event recording requires the scalar engine; a batched "
-                "record_many slipped through"
-            )
-
         def tap_interaction(i, j, count=1.0):
             if self._fold_interaction == (i, j, float(count)):
                 self._fold_interaction = None
@@ -121,6 +113,11 @@ class _LedgerTap:
                 )
             return orig_interaction(i, j, count)
 
+        def tap_interaction_many(raters, ratees, counts=1.0):
+            self._consume_rows("interactions", raters, ratees, counts)
+            self._fold_stage = "requests"
+            return orig_interaction_many(raters, ratees, counts)
+
         def tap_decay(nodes, factor):
             self._flush_folds()
             idx = np.asarray(nodes, dtype=np.int64)
@@ -130,35 +127,56 @@ class _LedgerTap:
                 )
             return orig_decay(nodes, factor)
 
-        def tap_request(node, interest, count=1.0):
-            if self._fold_profile == (node, interest) and count == 1.0:
-                self._fold_profile = None
-            else:
-                raise RuntimeError(
-                    f"unexpected profile request ({node}, {interest}) with "
-                    f"no preceding rating — the recorder's fold model no "
-                    f"longer matches the simulation loop"
+        def tap_requests(nodes, interests, counts=1.0):
+            raters, ratees, values = self._consume_rows(
+                "requests", nodes, None, counts
+            )
+            self.events.extend(
+                RatingEvent(
+                    rater=rater, ratee=ratee, value=value, interest=interest
                 )
-            return orig_request(node, interest, count)
+                for rater, ratee, value, interest in zip(
+                    raters, ratees, values, np.asarray(interests).tolist()
+                )
+            )
+            self._fold_rows = None
+            self._fold_stage = None
+            return orig_requests(nodes, interests, counts)
 
         self._taps = {
-            (self._ledger, "record"): tap_record,
-            (self._ledger, "record_batch"): tap_record_batch,
             (self._ledger, "record_many"): tap_record_many,
+            (self._ledger, "record_batch"): tap_record_batch,
             (self._interactions, "record"): tap_interaction,
+            (self._interactions, "record_many"): tap_interaction_many,
             (self._interactions, "decay_nodes"): tap_decay,
-            (self._profiles, "record_request"): tap_request,
+            (self._profiles, "record_requests"): tap_requests,
         }
         for (target, name), tap in self._taps.items():
             setattr(target, name, tap)
 
-    def _flush_folds(self) -> None:
-        """A pending fold that was never consumed means the loop changed
-        shape; fail loudly rather than drop a ledger mutation."""
-        if self._fold_interaction is not None or self._fold_profile is not None:
+    def _consume_rows(self, stage, raters, ratees, counts):
+        """Check one companion batch against the pending rating rows."""
+        rows = self._fold_rows
+        if (
+            rows is None
+            or self._fold_stage != stage
+            or np.asarray(raters).tolist() != rows[0]
+            or (ratees is not None and np.asarray(ratees).tolist() != rows[1])
+            or not np.all(np.asarray(counts) == 1.0)
+        ):
             raise RuntimeError(
-                "recorder fold left unconsumed — the simulation loop no "
-                "longer pairs ratings with interactions/requests as the "
+                f"unexpected {stage} batch with no matching rating batch — "
+                f"the recorder's fold model no longer matches the engine"
+            )
+        return rows
+
+    def _flush_folds(self) -> None:
+        """A pending fold that was never consumed means the engine changed
+        shape; fail loudly rather than drop a ledger mutation."""
+        if self._fold_interaction is not None or self._fold_rows is not None:
+            raise RuntimeError(
+                "recorder fold left unconsumed — the engine no longer "
+                "pairs ratings with interactions/requests as the "
                 "recorder assumes"
             )
 
@@ -172,15 +190,7 @@ class _LedgerTap:
 
 
 def record_scenario_events(spec: ScenarioSpec, cycles: int | None = None) -> RecordedStream:
-    """Run ``spec`` in batch (scalar engine) and capture its event stream.
-
-    ``spec`` is normalised to ``engine="scalar"`` for the recording run —
-    the scalar loop is bit-identical to the batched engine, and its
-    per-rating ledger calls are what the taps observe.  The returned
-    stream's :attr:`~RecordedStream.spec` carries that normalisation, so
-    replaying it builds the world the events were recorded against.
-    """
-    spec = spec.with_updates(engine="scalar")
+    """Run ``spec`` in batch and capture its event stream."""
     scenario = build_scenario(spec)
     simulation = scenario.world.simulation
     cycles = (

@@ -263,7 +263,7 @@ class ReputationService:
         self._c_total.inc()
 
     def _apply_rating(self, event: RatingEvent) -> None:
-        # Order matches the scalar simulation loop: rating ledger, then
+        # Order matches the simulation's query-cycle flush: rating ledger, then
         # interaction frequency, then (genuine requests only) the
         # behavioural interest counter.
         self._ledger.record_batch(

@@ -1,10 +1,11 @@
-"""Scalar vs batched query-engine equivalence.
+"""Scalar reference loop vs batched query-engine equivalence.
 
 The batched engine (:mod:`repro.p2p.engine`) promises to consume the RNG
-stream draw-for-draw like the scalar reference loop, so whole simulations
-must come out **bit-identical** — not merely close — across selection
-policies, exploration, collusion schedules, SocialTrust variants, and
-churn.  These tests are the contract; the benchmark in
+stream draw-for-draw like the scalar reference loop
+(:mod:`repro.qa.reference`), so whole simulations must come out
+**bit-identical** — not merely close — across selection policies,
+exploration, collusion schedules, SocialTrust variants, churn, and
+network partitions.  These tests are the contract; the benchmark in
 ``benchmarks/test_bench_engine.py`` shows the speed side of the trade.
 """
 
@@ -19,13 +20,13 @@ from repro.core.config import CommonFriendAggregate
 from repro.experiments import CollusionKind, SystemKind, WorldConfig, build_world
 from repro.faults import FaultConfig, FaultInjector
 from repro.p2p import (
-    EngineMode,
     InterestOverlay,
     Population,
     SelectionPolicy,
     Simulation,
     SimulationConfig,
 )
+from repro.qa.reference import install_reference_loop
 from repro.reputation import EigenTrust
 from repro.social import InteractionLedger, InterestProfiles
 from repro.social.generators import paper_social_network
@@ -46,38 +47,69 @@ SMALL = dict(
 )
 
 
-def run_world(engine, seed, **overrides):
-    """(reputation history, interaction counts, request totals) for one run."""
-    config = WorldConfig(**{**SMALL, **overrides}, engine=engine)
+def run_world(reference, seed, *, partition=False, **overrides):
+    """(reputation history, interaction counts, request totals) for one
+    run on the production engine or, with ``reference``, the scalar loop."""
+    if partition:
+        overrides.setdefault("faults", FaultConfig())
+    config = WorldConfig(**{**SMALL, **overrides})
     world = build_world(config, seed=seed)
-    metrics = world.simulation.run()
+    sim = world.simulation
+    if reference:
+        install_reference_loop(sim)
+    if partition:
+        # Whole for one cycle, split for one, healed after.
+        sim.run_simulation_cycle()
+        sim.fault_injector.start_partition(heal_after=1)
+        metrics = sim.run(config.simulation_cycles - 1)
+    else:
+        metrics = sim.run()
     return (
         metrics.reputation_history(),
         world.interactions.counts_matrix().copy(),
-        (metrics.total_requests, metrics.total_served, metrics.unserved),
+        (
+            metrics.total_requests,
+            metrics.total_served,
+            metrics.unserved,
+            metrics.faults.partition_blocks,
+        ),
     )
 
 
 def assert_identical(seed, **overrides):
-    hist_s, counts_s, totals_s = run_world(EngineMode.SCALAR, seed, **overrides)
-    hist_b, counts_b, totals_b = run_world(EngineMode.BATCHED, seed, **overrides)
+    hist_s, counts_s, totals_s = run_world(True, seed, **overrides)
+    hist_b, counts_b, totals_b = run_world(False, seed, **overrides)
     assert totals_b == totals_s
     assert np.array_equal(counts_b, counts_s)
     assert np.array_equal(hist_b, hist_s)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "seed, partition",
+    [(0, False), (1, False), (2, False), (0, True), (1, True)],
+    ids=["0", "1", "2", "0-partition", "1-partition"],
+)
 @pytest.mark.parametrize("policy", list(SelectionPolicy))
-def test_bit_identical_across_policies(seed, policy):
+def test_bit_identical_across_policies(seed, partition, policy):
     assert_identical(
-        seed, collusion=CollusionKind.NONE, selection_policy=policy
+        seed,
+        partition=partition,
+        collusion=CollusionKind.NONE,
+        selection_policy=policy,
     )
 
 
-@pytest.mark.parametrize("exploration", [0.0, 0.2, 1.0])
-def test_bit_identical_across_exploration(exploration):
+@pytest.mark.parametrize(
+    "exploration, partition",
+    [(0.0, False), (0.2, False), (1.0, False), (0.0, True), (0.2, True)],
+    ids=["0.0", "0.2", "1.0", "0.0-partition", "0.2-partition"],
+)
+def test_bit_identical_across_exploration(exploration, partition):
     assert_identical(
-        7, collusion=CollusionKind.NONE, selection_exploration=exploration
+        7,
+        partition=partition,
+        collusion=CollusionKind.NONE,
+        selection_exploration=exploration,
     )
 
 
@@ -103,7 +135,7 @@ def test_bit_identical_with_multinode_collusion(collusion):
     )
 
 
-def _churn_sim(engine, seed):
+def _churn_sim(reference, seed):
     """Manual wiring (build_world has no injector hook) with heavy churn."""
     n, n_interests = 20, 5
     rng = spawn_rng(seed, 0)
@@ -144,30 +176,53 @@ def _churn_sim(engine, seed):
         config=SimulationConfig(
             simulation_cycles=4,
             query_cycles_per_simulation_cycle=5,
-            engine=engine,
         ),
         collusion=attack,
         interactions=interactions,
         profiles=profiles,
         fault_injector=injector,
     )
+    if reference:
+        install_reference_loop(sim)
     return sim, interactions
 
 
-@pytest.mark.parametrize("seed", [0, 5, 9])
-def test_bit_identical_under_churn_and_decay(seed):
+@pytest.mark.parametrize(
+    "seed, partition",
+    [(0, False), (5, False), (9, False), (0, True), (5, True)],
+    ids=["0", "5", "9", "0-partition", "5-partition"],
+)
+def test_bit_identical_under_churn_and_decay(seed, partition):
     """Churn drives ``decay_nodes`` between intervals — the case where the
-    incremental closeness cache takes its low-rank path."""
+    incremental closeness cache takes its low-rank path.  The partitioned
+    cases split the network for cycles 1-2 on top of the churn."""
     results = []
-    for engine in (EngineMode.SCALAR, EngineMode.BATCHED):
-        sim, interactions = _churn_sim(engine, seed)
-        metrics = sim.run()
+    for reference in (True, False):
+        sim, interactions = _churn_sim(reference, seed)
+        if partition:
+            sim.run_simulation_cycle()
+            # Even ids on one side: the colluder pairs straddle the cut.
+            side = np.arange(sim.population.n_nodes) % 2 == 0
+            sim.fault_injector.start_partition(side, heal_after=2)
+        metrics = sim.run(4 - sim.cycles_run)
         results.append(
-            (metrics.reputation_history(), interactions.counts_matrix().copy())
+            (
+                metrics.reputation_history(),
+                interactions.counts_matrix().copy(),
+                (
+                    metrics.total_requests,
+                    metrics.total_served,
+                    metrics.unserved,
+                    metrics.faults.partition_blocks,
+                ),
+            )
         )
-    (hist_s, counts_s), (hist_b, counts_b) = results
+    (hist_s, counts_s, totals_s), (hist_b, counts_b, totals_b) = results
+    assert totals_b == totals_s
     assert np.array_equal(counts_b, counts_s)
     assert np.array_equal(hist_b, hist_s)
+    if partition:
+        assert totals_b[-1] > 0
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -177,12 +232,16 @@ def test_bit_identical_under_churn_and_decay(seed):
     policy=st.sampled_from(list(SelectionPolicy)),
     exploration=st.floats(0.0, 1.0, allow_nan=False),
     collusion=st.sampled_from([CollusionKind.NONE, CollusionKind.PCM]),
+    partition=st.booleans(),
 )
-def test_property_bit_identical(seed, capacity, policy, exploration, collusion):
-    """Hypothesis sweep: any (seed, capacity, policy, exploration, attack)
-    combination must agree bit-for-bit between the two engines."""
+def test_property_bit_identical(
+    seed, capacity, policy, exploration, collusion, partition
+):
+    """Hypothesis sweep: any (seed, capacity, policy, exploration, attack,
+    partition) combination must agree bit-for-bit between the two loops."""
     assert_identical(
         seed,
+        partition=partition,
         capacity=capacity,
         selection_policy=policy,
         selection_exploration=exploration,

@@ -4,11 +4,11 @@ The streaming contract: replaying a recorded batch run event-by-event
 through a fresh :class:`~repro.serve.ReputationService` reproduces the
 batch run's reputation vectors at every interval watermark —
 bit-identically against the same process's batch history, and within
-golden tolerance against the checked-in golden traces (which were
-recorded by the batched engine; the scalar recorder is property-tested
-bit-identical to it).
+golden tolerance against the checked-in golden traces.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from repro.qa import GOLDEN_SCENARIOS
 from repro.qa.golden import load_trace
 from repro.serve import (
     compare_histories,
+    encode_event,
     record_scenario_events,
     replay_recorded,
     replay_report,
@@ -26,6 +27,16 @@ from repro.serve import (
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden"
 GOLDEN_NAMES = sorted(GOLDEN_SCENARIOS)
+
+#: sha256 of each golden scenario's recorded events as canonical
+#: line-JSON (sorted keys, compact separators, one event per line; the
+#: spec header is not part of the digest).  Pinned from the per-rating
+#: recorder, so any change to the recorded stream shows up here.
+STREAM_DIGESTS = {
+    "ebay_mcm": "c0c8848b8b32722695c793ab5aeadc6503f45b59c15dded4487c8903c3b1d23c",
+    "eigentrust_pcm": "345d300fba5e4838c45269b2ac83419f9eabe7ea12576bced5b7ec258b219117",
+    "powertrust_mmm": "671484b10d10d2cd9e88179970ed3f17b912f87fb6ac078cc31a9762a83cf40a",
+}
 
 
 def golden_spec(name):
@@ -73,6 +84,15 @@ def test_stream_matches_checked_in_golden(name, recorded_streams):
     )
 
 
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_recorded_stream_digest(name, recorded_streams):
+    digest = hashlib.sha256()
+    for event in recorded_streams[name].events:
+        line = json.dumps(encode_event(event), sort_keys=True, separators=(",", ":"))
+        digest.update(f"{line}\n".encode())
+    assert digest.hexdigest() == STREAM_DIGESTS[name]
+
+
 def test_replay_report_one_call():
     spec, _ = golden_spec("eigentrust_pcm")
     report = replay_report(spec, cycles=2)
@@ -88,9 +108,6 @@ def test_recorded_stream_shape(recorded_streams):
             cycles,
             recorded.spec.world["n_nodes"],
         )
-        # The recording spec is the requested spec normalised to the
-        # scalar engine (what the taps observe).
-        assert recorded.spec.world.get("engine") == "scalar"
         assert recorded.n_events == len(recorded.events)
         # One watermark per batch cycle.
         from repro.serve import WatermarkEvent

@@ -110,7 +110,6 @@ PUBLIC_API = {
         "MetricsCollector",
         "ChordRing",
         "BatchedQueryEngine",
-        "EngineMode",
     ],
     "repro.collusion": [
         "CollusionSchedule",
@@ -218,7 +217,7 @@ def test_all_audit_importable_and_documented(module_name):
             assert obj.__doc__, f"{module_name}.{name} lacks a docstring"
 
 
-def test_api_version_is_2():
+def test_api_version_is_3():
     import repro
 
-    assert repro.API_VERSION == "2.0"
+    assert repro.API_VERSION == "3.0"

@@ -69,6 +69,22 @@ class TestSimulateChaosErrors:
         assert main(["simulate", *SMALL_WORLD, "--checkpoint-every", "2"]) == EXIT_CONFIG
         assert "--checkpoint-every requires" in capsys.readouterr().err
 
+    def test_resume_checkpoint_with_engine_field(self, tmp_path, capsys):
+        """Checkpoints written before the engine knob was removed carry
+        ``build.engine``; resuming one is a config error naming it."""
+        ck = tmp_path / "ck.jsonl"
+        code = main(
+            ["simulate", *SMALL_WORLD, "--checkpoint", str(ck), "--checkpoint-every", "2"]
+        )
+        assert code == 0
+        header, state = ck.read_text().splitlines()
+        header = json.loads(header)
+        header["build"]["engine"] = "batched"
+        ck.write_text(json.dumps(header) + "\n" + state + "\n")
+        capsys.readouterr()
+        assert main(["simulate", "--resume", str(ck)]) == EXIT_CONFIG
+        assert "['engine']" in capsys.readouterr().err
+
     def test_resume_missing_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"
         assert main(["simulate", "--resume", str(missing)]) == EXIT_CONFIG

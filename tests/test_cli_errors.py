@@ -71,6 +71,12 @@ class TestUnknownCommands:
             main(["qa"])
         assert exc.value.code == 2
 
+    def test_simulate_engine_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--engine", "scalar"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
 
 class TestQaRecordCheck:
     def test_record_refuses_overwrite_without_update(

@@ -56,6 +56,17 @@ class TestModeValidation:
         assert main(["serve", "--events", str(path)]) == EXIT_CONFIG
         assert "malformed event stream" in capsys.readouterr().err
 
+    def test_stream_header_with_engine_field(self, recorded_stream, tmp_path, capsys):
+        """Streams recorded before the engine knob was removed carry
+        ``spec.world.engine``; streaming one is a config error naming it."""
+        header, *events = recorded_stream.read_text().splitlines()
+        header = json.loads(header)
+        header["spec"]["world"]["engine"] = "scalar"
+        path = tmp_path / "old.jsonl"
+        path.write_text("\n".join([json.dumps(header), *events]) + "\n")
+        assert main(["serve", "--events", str(path)]) == EXIT_CONFIG
+        assert "['engine']" in capsys.readouterr().err
+
     def test_bad_listen_spec(self, capsys):
         assert main(["serve", *SMALL, "--listen", "9999"]) == EXIT_CONFIG
         assert "HOST:PORT" in capsys.readouterr().err
