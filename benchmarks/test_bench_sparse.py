@@ -4,7 +4,7 @@ Synthesizes a sparse social world (ring + random chords, average degree
 ~8, interactions and ratings concentrated on social edges plus a
 high-frequency collusive pair set) at each target size, runs one full
 detector interval per coefficient backend, and records wall-clock and
-peak-RSS.  The dense (seed) path materialises ``n x n`` matrices so it
+peak-RSS.  The dense coefficient core materialises ``n x n`` matrices so it
 stops being practical past ``n ~ 10^4``; the sparse core runs the same
 interval at ``n = 10^5`` inside a documented memory budget.  At the
 smallest shared size the two backends' damping weights are asserted
@@ -34,6 +34,7 @@ from __future__ import annotations
 import os
 import resource
 import time
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
@@ -192,16 +193,17 @@ def _run_sparse(world, graph, profiles):
     pos = _coo(*world["pos"], n)
     neg = _coo(*world["neg"], n)
     rated = ((pos + neg) > 0).tocsr()
+    interval = SimpleNamespace(pos_counts=pos, neg_counts=neg)
     detector = CollusionDetector(
         SparseClosenessComputer(graph, ledger, cfg),
         SparseSimilarityComputer(profiles, cfg),
         cfg,
     )
     start = time.perf_counter()
-    result = detector.analyze_sparse(pos, neg, world["reputations"], rated)
+    result = detector.analyze(interval, world["reputations"], rated)
     cold_s = time.perf_counter() - start
     start = time.perf_counter()
-    detector.analyze_sparse(pos, neg, world["reputations"], rated)
+    detector.analyze(interval, world["reputations"], rated)
     warm_s = time.perf_counter() - start
     stats = {
         "cold_seconds": round(cold_s, 3),
@@ -273,7 +275,7 @@ def test_sparse_detector_scaling(bench_artifact):
         print(f"[{name}] dense  n={n}: {stats}")
         if n == equiv_n:
             dense_w = result.weights
-            sparse_w = sparse_results[n].weights_dense()
+            sparse_w = sparse_results[n].weights
             max_diff = float(np.abs(dense_w - sparse_w).max())
             assert np.allclose(
                 dense_w, sparse_w, rtol=_EQUIV_RTOL, atol=_EQUIV_ATOL

@@ -22,7 +22,6 @@ from repro.core.config import CoefficientBackend, GaussianCenter, SocialTrustCon
 from repro.core.detector import (
     CollusionDetector,
     Finding,
-    SparseDetectionResult,
     SuspicionReason,
 )
 from repro.core.gaussian import RaterBand, combined_weight, gaussian_weight
@@ -38,7 +37,6 @@ __all__ = [
     "SocialTrustConfig",
     "CollusionDetector",
     "Finding",
-    "SparseDetectionResult",
     "SuspicionReason",
     "RaterBand",
     "combined_weight",

@@ -41,13 +41,13 @@ class CoefficientBackend(enum.Enum):
 
     DENSE is the seed path: all-pairs ``n x n`` NumPy matrices, bit-stable
     against the checked-in goldens, practical up to a few thousand nodes.
-    SPARSE rebuilds the same quantities on SciPy CSR structures and
-    evaluates the detector only over the frequency-flagged pair set, which
-    is what pushes the detector interval from ``n ~ 10^3`` to ``10^5``;
-    it agrees with DENSE within floating-point tolerance (summation order
-    differs), and exactly-optionally truncates each node's coefficient
+    SPARSE rebuilds the same quantities on SciPy CSR structures, which is
+    what pushes the detector interval from ``n ~ 10^3`` to ``10^5``; it
+    agrees with DENSE within floating-point tolerance (summation order
+    differs), and optionally truncates each node's coefficient
     neighbourhood to its top-k entries (see
-    :attr:`SocialTrustConfig.sparse_top_k`).
+    :attr:`SocialTrustConfig.sparse_top_k`).  Both cores feed the same
+    detector pass, which scores only the frequency-flagged pair set.
     """
 
     DENSE = "dense"

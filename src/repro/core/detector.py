@@ -23,22 +23,34 @@ Per reputation-update interval the detector:
    the system-wide band for raters with too few rated peers — the AUTO
    centring policy).
 
-Everything is evaluated on dense ``n x n`` matrices so an interval costs a
-handful of vectorised passes.
+Only the frequency-flagged pairs are scored.  Their coefficients, the
+interval's active transaction pairs (for the derived band thresholds and
+the global band) and the flagged raters' rated neighbourhoods (for the
+per-rater bands) are gathered through the coefficient core's
+``pair_values`` lookup, so the same pass serves the dense and the sparse
+core.  Inputs may be dense arrays or SciPy sparse matrices; no ``n x n``
+array is built unless a caller reads :attr:`DetectionResult.weights`.
+The all-pairs formulation is kept in :mod:`repro.qa.reference` as the
+test oracle.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from repro.core.closeness import ClosenessComputer
-from repro.core.config import CoefficientBackend, GaussianCenter, SocialTrustConfig
+from repro.core.config import GaussianCenter, SocialTrustConfig
 from repro.core.similarity import SimilarityComputer
-from repro.core.sparse import SparseClosenessComputer, SparseSimilarityComputer
+from repro.core.sparse import (
+    SparseClosenessComputer,
+    SparseSimilarityComputer,
+    _row_major_keys,
+)
 from repro.obs import Observability
 from repro.reputation.base import IntervalRatings
 
@@ -47,7 +59,6 @@ __all__ = [
     "Finding",
     "DerivedThresholds",
     "DetectionResult",
-    "SparseDetectionResult",
     "CollusionDetector",
 ]
 
@@ -88,25 +99,11 @@ class DerivedThresholds:
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Outcome of one interval's analysis."""
+    """Outcome of one interval's analysis.
 
-    #: Multiplicative damping weights, 1.0 everywhere except adjusted pairs.
-    weights: np.ndarray
-    findings: tuple[Finding, ...]
-    thresholds: DerivedThresholds
-
-    @property
-    def n_adjusted(self) -> int:
-        return len(self.findings)
-
-
-@dataclass(frozen=True)
-class SparseDetectionResult:
-    """Outcome of one interval's sparse analysis — per-pair, never ``n x n``.
-
-    Only the adjusted pairs are materialised; every unlisted pair has
-    implicit weight 1.0.  :meth:`weights_dense` scatters into a dense
-    matrix for small-n interop with the dense engine path.
+    Only the adjusted pairs are stored; every other pair has implicit
+    weight 1.0.  :attr:`weights` scatters them into a dense matrix on
+    first access.
     """
 
     #: Adjusted rater→ratee pairs, shape ``(m, 2)``, row-major order.
@@ -121,71 +118,76 @@ class SparseDetectionResult:
     def n_adjusted(self) -> int:
         return len(self.findings)
 
-    def weights_dense(self) -> np.ndarray:
-        """Dense weight matrix (1.0 except at the adjusted pairs)."""
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Multiplicative damping weights, 1.0 everywhere except adjusted
+        pairs (read-only; built once per result)."""
         out = np.ones((self.n_nodes, self.n_nodes), dtype=np.float64)
         if self.pairs.size:
             out[self.pairs[:, 0], self.pairs[:, 1]] = self.pair_weights
+        out.flags.writeable = False
         return out
 
 
-def _band_arrays(
-    coeffs: np.ndarray,
-    rated_mask: np.ndarray,
-    global_values: np.ndarray,
-    config: SocialTrustConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair (center, spread) matrices under the configured centring policy.
+def _entries(mat: np.ndarray | sparse.spmatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major ``row * n + col`` keys and values of a dense or SciPy
+    sparse square matrix's nonzero entries (keys ascending)."""
+    if sparse.issparse(mat):
+        csr = mat.tocsr()
+        csr.sum_duplicates()
+        keys = _row_major_keys(csr, csr.shape[1])
+        keep = csr.data != 0
+        return keys[keep], csr.data[keep]
+    flat = np.asarray(mat).ravel()
+    keys = np.flatnonzero(flat != 0)
+    return keys, flat[keys]
 
-    ``coeffs`` is the all-pairs coefficient matrix, ``rated_mask[i, j]``
-    marks nodes ``j`` that rater ``i`` has rated, and ``global_values`` are
-    the coefficients observed over transaction pairs system-wide.
 
-    The band judging pair ``(i, j)`` is computed over the *other* nodes
-    ``i`` has rated — Eq. (6)'s exponent is "the deviation of Ωc(i,j) from
-    the normal social closeness of n_i to other nodes it has rated".  The
-    leave-one-out matters: including the judged pair would let an extreme
-    coefficient inflate its own band spread and mask itself.  Everything is
-    vectorised; sorting each row once yields the leave-one-out extrema
-    (removing the row maximum exposes the second-largest value, and
-    duplicates take care of themselves because the sorted runner-up equals
-    the maximum then).
-    """
-    n = coeffs.shape[0]
-    if global_values.size:
-        g_center = float(global_values.mean())
-        g_spread = float(global_values.max() - global_values.min())
-    else:
-        g_center, g_spread = 0.0, 0.0
-    centers = np.full((n, n), g_center)
-    spreads = np.full((n, n), g_spread)
-    if config.center is GaussianCenter.GLOBAL:
-        return centers, spreads
-    sizes = rated_mask.sum(axis=1, keepdims=True)
-    loo_sizes = sizes - rated_mask
-    has = loo_sizes > 0
-    if np.any(has):
-        masked = np.where(rated_mask, coeffs, 0.0)
-        loo_sum = masked.sum(axis=1, keepdims=True) - masked
-        loo_center = np.divide(loo_sum, loo_sizes, out=np.zeros((n, n)), where=has)
-        hi_sorted = np.sort(np.where(rated_mask, coeffs, -np.inf), axis=1)
-        lo_sorted = np.sort(np.where(rated_mask, coeffs, np.inf), axis=1)
-        row_max = hi_sorted[:, -1:]
-        row_2nd_max = hi_sorted[:, -2:-1] if n >= 2 else row_max
-        row_min = lo_sorted[:, :1]
-        row_2nd_min = lo_sorted[:, 1:2] if n >= 2 else row_min
-        is_max = rated_mask & (coeffs == row_max)
-        is_min = rated_mask & (coeffs == row_min)
-        loo_max = np.where(is_max, row_2nd_max, row_max)
-        loo_min = np.where(is_min, row_2nd_min, row_min)
-        loo_spread = np.where(has, loo_max - loo_min, 0.0)
-        if config.center is GaussianCenter.RATER:
-            use = has
-        else:  # AUTO
-            use = loo_sizes >= config.min_band_size
-        centers = np.where(use, loo_center, centers)
-        spreads = np.where(use, loo_spread, spreads)
-    return centers, spreads
+def _lookup(keys: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """``values`` at the ``query`` keys as float64, 0.0 where absent."""
+    out = np.zeros(query.shape, dtype=np.float64)
+    if keys.size:
+        at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+        hit = keys[at] == query
+        out[hit] = values[at[hit]]
+    return out
+
+
+def _starts(sorted_ids: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal ids."""
+    first = np.ones(sorted_ids.size, dtype=bool)
+    first[1:] = sorted_ids[1:] != sorted_ids[:-1]
+    return first
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted union of two ascending, duplicate-free key arrays (a stable
+    sort merges the two runs in linear time)."""
+    keys = np.sort(np.concatenate((a, b)), kind="stable")
+    return keys[_starts(keys)]
+
+
+def _drop_first(
+    band: np.ndarray,
+    owner: np.ndarray,
+    first: np.ndarray,
+    extremum: np.ndarray,
+    fill: float,
+) -> np.ndarray:
+    """Copy of ``band`` with the first occurrence of each segment's
+    ``extremum`` replaced by ``fill`` — reducing it again yields the
+    runner-up (equal to the extremum when it is duplicated)."""
+    at = np.where(band == extremum[owner], np.arange(band.size), band.size)
+    out = band.copy()
+    out[np.minimum.reduceat(at, first)] = fill
+    return out
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(lo[k], hi[k])`` over ``k``."""
+    sizes = hi - lo
+    starts = np.cumsum(sizes) - sizes
+    return np.arange(int(sizes.sum())) + np.repeat(lo - starts, sizes)
 
 
 class CollusionDetector:
@@ -238,8 +240,8 @@ class CollusionDetector:
     def restore_state(self, state: dict) -> None:
         self._interval_index = int(state["interval_index"])
 
-    def _frequency_thresholds(self, interval: IntervalRatings) -> tuple[float, float]:
-        """Derive ``T+_t`` / ``T-_t`` as ``theta * F``.
+    def _frequency_threshold(self, counts: np.ndarray, pinned: float | None) -> float:
+        """``T+_t`` / ``T-_t`` as ``theta * F`` over one side's counts.
 
         ``F`` is the *median* per-pair rating frequency, not the mean: a
         mass rating campaign inflates the mean and thereby raises the very
@@ -248,20 +250,12 @@ class CollusionDetector:
         empirics — 2.2 ratings/month — which is likewise an
         attack-free baseline.)
         """
-        cfg = self._config
-        pos_thr = cfg.pos_frequency_threshold
-        if pos_thr is None:
-            observed = interval.pos_counts[interval.pos_counts > 0]
-            pos_thr = (
-                cfg.theta * float(np.median(observed)) if observed.size else np.inf
-            )
-        neg_thr = cfg.neg_frequency_threshold
-        if neg_thr is None:
-            observed = interval.neg_counts[interval.neg_counts > 0]
-            neg_thr = (
-                cfg.theta * float(np.median(observed)) if observed.size else np.inf
-            )
-        return float(pos_thr), float(neg_thr)
+        if pinned is not None:
+            return float(pinned)
+        observed = counts[counts > 0]
+        if not observed.size:
+            return float(np.inf)
+        return float(self._config.theta * float(np.median(observed)))
 
     def _pinned_band_defaults(self) -> tuple[float, float, float, float]:
         """Band thresholds reported when no pair was examined this interval.
@@ -308,188 +302,29 @@ class CollusionDetector:
         self,
         interval: IntervalRatings,
         reputations: np.ndarray,
-        rated_mask: np.ndarray,
-        flag_counts: np.ndarray | None = None,
+        rated: np.ndarray | sparse.spmatrix,
+        flag_counts: np.ndarray | sparse.spmatrix | None = None,
     ) -> DetectionResult:
         """Analyse one interval.
 
         Parameters
         ----------
         interval:
-            The interval's rating aggregates.
+            The interval's rating aggregates.  Only ``pos_counts`` /
+            ``neg_counts`` are read, as dense arrays or SciPy sparse
+            matrices.
         reputations:
             Global reputation vector *before* this interval is ingested
             (behaviour B2 tests the ratee's current standing).
-        rated_mask:
-            Cumulative boolean matrix, ``rated_mask[i, j]`` true when ``i``
-            has rated ``j`` in any past interval.  The current interval is
-            unioned in before band computation ("the nodes that n_i has
-            rated").
+        rated:
+            Cumulative rated mask (dense or sparse), nonzero at ``(i, j)``
+            when ``i`` has rated ``j`` in any past interval.  The current
+            interval is unioned in before band computation ("the nodes
+            that n_i has rated").
         flag_counts:
-            Number of *earlier* intervals each pair was flagged in; drives
-            the recidivism escalation.  ``None`` means no history.
-        """
-        if self._config.coefficient_backend is CoefficientBackend.SPARSE:
-            # Dense-input interop path: the engine still hands dense
-            # interval matrices at moderate n; the analysis itself runs
-            # over the flagged pair set only.
-            result = self.analyze_sparse(
-                sparse.csr_matrix(interval.pos_counts),
-                sparse.csr_matrix(interval.neg_counts),
-                reputations,
-                sparse.csr_matrix(rated_mask),
-                sparse.csr_matrix(flag_counts) if flag_counts is not None else None,
-            )
-            return DetectionResult(
-                result.weights_dense(), result.findings, result.thresholds
-            )
-        n = self.n_nodes
-        cfg = self._config
-        obs = self._obs
-        interval_index = self._interval_index
-        self._interval_index += 1
-        if obs is not None:
-            obs.metrics.counter("detector.intervals").inc()
-        counts = interval.counts
-        pos_thr, neg_thr = self._frequency_thresholds(interval)
-        flagged_pos = interval.pos_counts > pos_thr
-        flagged_neg = interval.neg_counts > neg_thr
-        ones = np.ones((n, n), dtype=np.float64)
-        if not (flagged_pos.any() or flagged_neg.any()):
-            thresholds = DerivedThresholds(
-                pos_thr, neg_thr, self._low_reputation(),
-                *self._pinned_band_defaults(),
-            )
-            return DetectionResult(ones, (), thresholds)
-
-        active = counts > 0
-        np.fill_diagonal(active, False)
-        full_mask = rated_mask | active
-
-        closeness = self._closeness.closeness_matrix()
-        similarity = self._similarity.similarity_matrix()
-        observed_c = closeness[active]
-        observed_s = similarity[active]
-
-        t_cl, t_ch = self._band_thresholds(
-            observed_c, cfg.closeness_low, cfg.closeness_high
-        )
-        t_sl, t_sh = self._band_thresholds(
-            observed_s, cfg.similarity_low, cfg.similarity_high
-        )
-        t_r = self._low_reputation()
-
-        low_rep_ratee = np.broadcast_to(reputations < t_r, (n, n))
-        b1 = flagged_pos & (closeness < t_cl) if cfg.use_closeness else np.zeros_like(flagged_pos)
-        b2 = (
-            flagged_pos & (closeness > t_ch) & low_rep_ratee
-            if cfg.use_closeness
-            else np.zeros_like(flagged_pos)
-        )
-        b3 = flagged_pos & (similarity < t_sl) if cfg.use_similarity else np.zeros_like(flagged_pos)
-        b4 = flagged_neg & (similarity > t_sh) if cfg.use_similarity else np.zeros_like(flagged_neg)
-        adjust = b1 | b2 | b3 | b4
-        np.fill_diagonal(adjust, False)
-
-        thresholds = DerivedThresholds(pos_thr, neg_thr, t_r, t_cl, t_ch, t_sl, t_sh)
-        if not adjust.any():
-            if obs is not None:
-                self._emit_audit(
-                    interval_index, interval, reputations, thresholds,
-                    flagged_pos, flagged_neg, closeness, similarity,
-                    b1, b2, b3, b4, ones,
-                )
-            return DetectionResult(ones, (), thresholds)
-
-        exponent = np.zeros((n, n), dtype=np.float64)
-        if cfg.use_closeness:
-            centers, spreads = _band_arrays(closeness, full_mask, observed_c, cfg)
-            c = np.maximum(spreads, cfg.spread_floor)
-            exponent += (closeness - centers) ** 2 / (2.0 * c * c)
-        if cfg.use_similarity:
-            centers, spreads = _band_arrays(similarity, full_mask, observed_s, cfg)
-            c = np.maximum(spreads, cfg.spread_floor)
-            exponent += (similarity - centers) ** 2 / (2.0 * c * c)
-        # Clamp the exponent below the float64 underflow knee: a degenerate
-        # band (spread at the floor) with a large deviation would otherwise
-        # drive exp() to exactly 0.0 and annihilate the rating instead of
-        # damping it.
-        damping = cfg.alpha * np.exp(-np.minimum(exponent, 700.0))
-        if cfg.cap_flagged_frequency:
-            # A flagged pair contributes at most a normal-frequency pair's
-            # rating mass: scale by T_t / observed frequency on the side
-            # (positive/negative) that tripped the threshold.
-            pos_cap = np.where(
-                flagged_pos,
-                np.minimum(1.0, pos_thr / np.maximum(interval.pos_counts, 1.0)),
-                1.0,
-            )
-            neg_cap = np.where(
-                flagged_neg,
-                np.minimum(1.0, neg_thr / np.maximum(interval.neg_counts, 1.0)),
-                1.0,
-            )
-            damping = damping * pos_cap * neg_cap
-        if flag_counts is not None and cfg.recidivism_decay < 1.0:
-            damping = damping * np.power(cfg.recidivism_decay, flag_counts)
-        weights = np.where(adjust, damping, 1.0)
-
-        findings = []
-        for i, j in np.argwhere(adjust):
-            i, j = int(i), int(j)
-            reasons = SuspicionReason(0)
-            if b1[i, j]:
-                reasons |= SuspicionReason.B1
-            if b2[i, j]:
-                reasons |= SuspicionReason.B2
-            if b3[i, j]:
-                reasons |= SuspicionReason.B3
-            if b4[i, j]:
-                reasons |= SuspicionReason.B4
-            findings.append(
-                Finding(
-                    rater=i,
-                    ratee=j,
-                    reasons=reasons,
-                    closeness=float(closeness[i, j]),
-                    similarity=float(similarity[i, j]),
-                    weight=float(weights[i, j]),
-                )
-            )
-        if obs is not None:
-            self._emit_audit(
-                interval_index, interval, reputations, thresholds,
-                flagged_pos, flagged_neg, closeness, similarity,
-                b1, b2, b3, b4, weights,
-            )
-        return DetectionResult(weights, tuple(findings), thresholds)
-
-    @staticmethod
-    def _nonzero_row_ids(mat: sparse.csr_matrix, row: int) -> np.ndarray:
-        """Column ids of a CSR row's genuinely nonzero entries."""
-        lo, hi = mat.indptr[row], mat.indptr[row + 1]
-        idx = mat.indices[lo:hi]
-        return np.asarray(idx[mat.data[lo:hi] != 0], dtype=np.int64)
-
-    def analyze_sparse(
-        self,
-        pos_counts: sparse.spmatrix,
-        neg_counts: sparse.spmatrix,
-        reputations: np.ndarray,
-        rated: sparse.spmatrix,
-        flag_counts: sparse.spmatrix | None = None,
-    ) -> SparseDetectionResult:
-        """Analyse one interval without materialising any ``n x n`` array.
-
-        Mirrors :meth:`analyze` over CSR inputs: ``pos_counts`` /
-        ``neg_counts`` are the interval's rating-count matrices, ``rated``
-        the cumulative rated mask, ``flag_counts`` the recidivism history.
-        Thresholds, behaviours B1–B4, leave-one-out bands and the Gaussian
-        damping are all evaluated only over the frequency-flagged pair set
-        (plus, for bands, the flagged raters' rated neighbourhoods), which
-        is what makes a ``10^5``-node interval tractable.  All pair
-        enumeration is row-major, so findings come out in the same order
-        as the dense pass.
+            Number of *earlier* intervals each pair was flagged in (dense
+            or sparse); drives the recidivism escalation.  ``None`` means
+            no history.
         """
         n = self.n_nodes
         cfg = self._config
@@ -498,76 +333,62 @@ class CollusionDetector:
         self._interval_index += 1
         if obs is not None:
             obs.metrics.counter("detector.intervals").inc()
-        pos = pos_counts.tocsr()
-        pos.sort_indices()
-        neg = neg_counts.tocsr()
-        neg.sort_indices()
-
-        pos_thr = cfg.pos_frequency_threshold
-        if pos_thr is None:
-            observed = pos.data[pos.data > 0]
-            pos_thr = (
-                cfg.theta * float(np.median(observed)) if observed.size else np.inf
-            )
-        neg_thr = cfg.neg_frequency_threshold
-        if neg_thr is None:
-            observed = neg.data[neg.data > 0]
-            neg_thr = (
-                cfg.theta * float(np.median(observed)) if observed.size else np.inf
-            )
-        pos_thr, neg_thr = float(pos_thr), float(neg_thr)
-
-        pos_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(pos.indptr))
-        neg_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(neg.indptr))
-        keys_pos = (pos_rows * np.int64(n) + pos.indices.astype(np.int64))[
-            pos.data > pos_thr
-        ]
-        keys_neg = (neg_rows * np.int64(n) + neg.indices.astype(np.int64))[
-            neg.data > neg_thr
-        ]
-        no_pairs = np.empty((0, 2), dtype=np.int64)
-        if keys_pos.size == 0 and keys_neg.size == 0:
+        pos_keys, pos_vals = _entries(interval.pos_counts)
+        neg_keys, neg_vals = _entries(interval.neg_counts)
+        pos_thr = self._frequency_threshold(pos_vals, cfg.pos_frequency_threshold)
+        neg_thr = self._frequency_threshold(neg_vals, cfg.neg_frequency_threshold)
+        keys = _union(pos_keys[pos_vals > pos_thr], neg_keys[neg_vals > neg_thr])
+        if keys.size == 0:
             thresholds = DerivedThresholds(
                 pos_thr, neg_thr, self._low_reputation(),
                 *self._pinned_band_defaults(),
             )
-            return SparseDetectionResult(
-                no_pairs, np.empty(0, dtype=np.float64), (), thresholds, n
-            )
+            return self._result(keys, np.empty(0), (), thresholds)
 
-        # Active transaction pairs (counts > 0, off-diagonal), row-major —
-        # the population the derived band thresholds and global band see.
-        total = (pos + neg).tocsr()
-        total.sort_indices()
-        act_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(total.indptr))
-        act_cols = total.indices.astype(np.int64)
-        act_keep = (total.data > 0) & (act_rows != act_cols)
-        act_i, act_j = act_rows[act_keep], act_cols[act_keep]
-        observed_c = self._closeness.pair_values(act_i, act_j)
-        observed_s = self._similarity.pair_values(act_i, act_j)
-
-        t_cl, t_ch = self._band_thresholds(
-            observed_c, cfg.closeness_low, cfg.closeness_high
-        )
-        t_sl, t_sh = self._band_thresholds(
-            observed_s, cfg.similarity_low, cfg.similarity_high
-        )
-        t_r = self._low_reputation()
-
-        # The flagged pair set, row-major with per-pair flag provenance.
-        keys = np.union1d(keys_pos, keys_neg)
-        fi = keys // n
-        fj = keys % n
+        # The flagged pair set, row-major.  Thresholds are positive, so
+        # every flagged pair is also an active transaction pair.
+        fi, fj = np.divmod(keys, n)
         off_diag = fi != fj
         keys, fi, fj = keys[off_diag], fi[off_diag], fj[off_diag]
-        flag_pos = np.isin(keys, keys_pos)
-        flag_neg = np.isin(keys, keys_neg)
-        m = keys.size
-        pos_cnt = np.asarray(pos[fi, fj], dtype=np.float64).ravel()
-        neg_cnt = np.asarray(neg[fi, fj], dtype=np.float64).ravel()
-        omega_c = self._closeness.pair_values(fi, fj)
-        omega_s = self._similarity.pair_values(fi, fj)
+        pos_cnt = _lookup(pos_keys, pos_vals, keys)
+        neg_cnt = _lookup(neg_keys, neg_vals, keys)
+        flag_pos = pos_cnt > pos_thr
+        flag_neg = neg_cnt > neg_thr
 
+        # Active transaction pairs (counts > 0, off-diagonal) — the
+        # population the derived band thresholds and the global band see —
+        # plus, for per-rater bands, the flagged raters' cumulative rated
+        # neighbourhoods.  One coefficient gather per dimension covers all.
+        act = _union(pos_keys[pos_vals > 0], neg_keys[neg_vals > 0])
+        act = act[act // n != act % n]
+        universe = act
+        if cfg.center is not GaussianCenter.GLOBAL:
+            rated_keys, _ = _entries(rated)
+            rows = fi[_starts(fi)] * n
+            near = rated_keys[
+                _ranges(
+                    np.searchsorted(rated_keys, rows),
+                    np.searchsorted(rated_keys, rows + n),
+                )
+            ]
+            universe = _union(act, near[near // n != near % n])
+        ui, uj = np.divmod(universe, n)
+        values_c = self._closeness.pair_values(ui, uj)
+        values_s = self._similarity.pair_values(ui, uj)
+        at_act = np.searchsorted(universe, act)
+        at_flag = np.searchsorted(universe, keys)
+        observed_c, omega_c = values_c[at_act], values_c[at_flag]
+        observed_s, omega_s = values_s[at_act], values_s[at_flag]
+
+        t_cl, t_ch = self._band_thresholds(
+            observed_c, cfg.closeness_low, cfg.closeness_high
+        )
+        t_sl, t_sh = self._band_thresholds(
+            observed_s, cfg.similarity_low, cfg.similarity_high
+        )
+        t_r = self._low_reputation()
+
+        m = keys.size
         false_col = np.zeros(m, dtype=bool)
         low_rep = np.asarray(reputations, dtype=np.float64)[fj] < t_r
         b1 = flag_pos & (omega_c < t_cl) if cfg.use_closeness else false_col
@@ -579,99 +400,106 @@ class CollusionDetector:
         thresholds = DerivedThresholds(pos_thr, neg_thr, t_r, t_cl, t_ch, t_sl, t_sh)
         if not adjust.any():
             if obs is not None:
-                self._emit_audit_sparse(
+                self._emit_audit(
                     interval_index, reputations, thresholds, fi, fj,
                     flag_pos, flag_neg, pos_cnt, neg_cnt, omega_c, omega_s,
                     b1, b2, b3, b4, np.ones(m, dtype=np.float64),
                 )
-            return SparseDetectionResult(
-                no_pairs, np.empty(0, dtype=np.float64), (), thresholds, n
-            )
+            return self._result(keys[:0], np.empty(0), (), thresholds)
 
         exponent = np.zeros(m, dtype=np.float64)
-        rated_csr = rated.tocsr()
-        rated_csr.sort_indices()
-        for use_dim, computer, omega, observed in (
-            (cfg.use_closeness, self._closeness, omega_c, observed_c),
-            (cfg.use_similarity, self._similarity, omega_s, observed_s),
+        for use_dim, values, omega, observed in (
+            (cfg.use_closeness, values_c, omega_c, observed_c),
+            (cfg.use_similarity, values_s, omega_s, observed_s),
         ):
             if not use_dim:
                 continue
-            centers, spreads = self._sparse_bands(
-                fi, fj, omega, observed, computer, rated_csr, total
-            )
+            centers, spreads = self._bands(universe, values, fi, omega, observed)
             c = np.maximum(spreads, cfg.spread_floor)
             exponent += (omega - centers) ** 2 / (2.0 * c * c)
+        # Clamp the exponent below the float64 underflow knee: a degenerate
+        # band (spread at the floor) with a large deviation would otherwise
+        # drive exp() to exactly 0.0 and annihilate the rating instead of
+        # damping it.
         damping = cfg.alpha * np.exp(-np.minimum(exponent, 700.0))
         if cfg.cap_flagged_frequency:
+            # A flagged pair contributes at most a normal-frequency pair's
+            # rating mass: scale by T_t / observed frequency on the side
+            # (positive/negative) that tripped the threshold.
             pos_cap = np.where(
-                flag_pos,
-                np.minimum(1.0, pos_thr / np.maximum(pos_cnt, 1.0)),
-                1.0,
+                flag_pos, np.minimum(1.0, pos_thr / np.maximum(pos_cnt, 1.0)), 1.0
             )
             neg_cap = np.where(
-                flag_neg,
-                np.minimum(1.0, neg_thr / np.maximum(neg_cnt, 1.0)),
-                1.0,
+                flag_neg, np.minimum(1.0, neg_thr / np.maximum(neg_cnt, 1.0)), 1.0
             )
             damping = damping * pos_cap * neg_cap
         if flag_counts is not None and cfg.recidivism_decay < 1.0:
-            history = np.asarray(
-                flag_counts.tocsr()[fi, fj], dtype=np.float64
-            ).ravel()
+            history = _lookup(*_entries(flag_counts), keys)
             damping = damping * np.power(cfg.recidivism_decay, history)
         weights = np.where(adjust, damping, 1.0)
 
-        findings = []
-        for t in np.flatnonzero(adjust):
-            reasons = SuspicionReason(0)
-            if b1[t]:
-                reasons |= SuspicionReason.B1
-            if b2[t]:
-                reasons |= SuspicionReason.B2
-            if b3[t]:
-                reasons |= SuspicionReason.B3
-            if b4[t]:
-                reasons |= SuspicionReason.B4
-            findings.append(
-                Finding(
-                    rater=int(fi[t]),
-                    ratee=int(fj[t]),
-                    reasons=reasons,
-                    closeness=float(omega_c[t]),
-                    similarity=float(omega_s[t]),
-                    weight=float(weights[t]),
-                )
+        codes = (
+            b1 * SuspicionReason.B1.value
+            | b2 * SuspicionReason.B2.value
+            | b3 * SuspicionReason.B3.value
+            | b4 * SuspicionReason.B4.value
+        )
+        findings = tuple(
+            Finding(i, j, SuspicionReason(code), closeness, similarity, weight)
+            for i, j, code, closeness, similarity, weight in zip(
+                fi[adjust].tolist(),
+                fj[adjust].tolist(),
+                codes[adjust].tolist(),
+                omega_c[adjust].tolist(),
+                omega_s[adjust].tolist(),
+                weights[adjust].tolist(),
             )
+        )
         if obs is not None:
-            self._emit_audit_sparse(
+            self._emit_audit(
                 interval_index, reputations, thresholds, fi, fj,
                 flag_pos, flag_neg, pos_cnt, neg_cnt, omega_c, omega_s,
                 b1, b2, b3, b4, weights,
             )
-        pairs = np.stack([fi[adjust], fj[adjust]], axis=1)
-        return SparseDetectionResult(
-            pairs, weights[adjust], tuple(findings), thresholds, n
+        return self._result(keys[adjust], weights[adjust], findings, thresholds)
+
+    def _result(
+        self,
+        keys: np.ndarray,
+        pair_weights: np.ndarray,
+        findings: tuple[Finding, ...],
+        thresholds: DerivedThresholds,
+    ) -> DetectionResult:
+        pairs = np.stack(np.divmod(keys, self.n_nodes), axis=1).astype(np.int64)
+        return DetectionResult(
+            pairs, pair_weights.astype(np.float64), findings, thresholds,
+            self.n_nodes,
         )
 
-    def _sparse_bands(
+    def _bands(
         self,
+        universe: np.ndarray,
+        values: np.ndarray,
         fi: np.ndarray,
-        fj: np.ndarray,
         omega: np.ndarray,
         observed: np.ndarray,
-        computer,
-        rated_csr: sparse.csr_matrix,
-        total_csr: sparse.csr_matrix,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-flagged-pair (center, spread) under the centring policy.
 
-        Leave-one-out semantics identical to the dense ``_band_arrays``:
-        the band for pair ``(i, j)`` covers the other nodes ``i`` has
-        rated (cumulative ∪ this interval's active partners, which always
-        contain ``j``); removing the judged value exposes the runner-up
-        extrema, with duplicates self-consistent.  Only the flagged
-        raters' neighbourhoods are ever gathered.
+        ``values`` are one dimension's coefficients over the row-major
+        ``universe`` keys, which hold every flagged rater's band: the
+        nodes it has rated (cumulative ∪ this interval's active partners,
+        which always contain the judged ratee).  The band judging pair
+        ``(i, j)`` covers the *other* nodes ``i`` has rated — Eq. (6)'s
+        exponent is "the deviation of Ωc(i,j) from the normal social
+        closeness of n_i to other nodes it has rated".  The leave-one-out
+        matters: including the judged pair would let an extreme
+        coefficient inflate its own band spread and mask itself.  Segment
+        reductions over the raters' contiguous key runs give each band's
+        sum, extrema and runner-ups (the extremum with one occurrence
+        removed); removing the judged value exposes the runner-up, and
+        duplicates take care of themselves because the runner-up equals
+        the extremum then.
         """
         cfg = self._config
         if observed.size:
@@ -679,54 +507,37 @@ class CollusionDetector:
             g_spread = float(observed.max() - observed.min())
         else:
             g_center, g_spread = 0.0, 0.0
-        m = fi.size
-        centers = np.full(m, g_center)
-        spreads = np.full(m, g_spread)
+        centers = np.full(fi.size, g_center)
+        spreads = np.full(fi.size, g_spread)
         if cfg.center is GaussianCenter.GLOBAL:
             return centers, spreads
-        # Per-rater band statistics (sum, extrema and runner-up extrema),
-        # gathered once per distinct flagged rater.
-        stats: dict[int, tuple[int, float, float, float, float, float]] = {}
-        for rater in np.unique(fi):
-            rater = int(rater)
-            ids = np.union1d(
-                self._nonzero_row_ids(rated_csr, rater),
-                self._nonzero_row_ids(total_csr, rater),
-            )
-            ids = ids[ids != rater]
-            if ids.size == 0:
-                continue
-            values = computer.pair_values(
-                np.full(ids.size, rater, dtype=np.int64), ids
-            )
-            vmax = float(values.max())
-            vmin = float(values.min())
-            if values.size >= 2:
-                vmax2 = float(np.partition(values, -2)[-2])
-                vmin2 = float(np.partition(values, 1)[1])
-            else:
-                vmax2, vmin2 = vmax, vmin
-            stats[rater] = (
-                int(values.size), float(values.sum()), vmax, vmax2, vmin, vmin2
-            )
-        for t in range(m):
-            entry = stats.get(int(fi[t]))
-            if entry is None:
-                continue
-            size, vsum, vmax, vmax2, vmin, vmin2 = entry
-            loo_size = size - 1  # the judged ratee is always in the set
-            if loo_size <= 0:
-                continue
-            if cfg.center is GaussianCenter.AUTO and loo_size < cfg.min_band_size:
-                continue
-            x = omega[t]
-            centers[t] = (vsum - x) / loo_size
-            loo_max = vmax2 if x == vmax else vmax
-            loo_min = vmin2 if x == vmin else vmin
-            spreads[t] = loo_max - loo_min
+        n = self.n_nodes
+        first_pair = _starts(fi)
+        slot = np.cumsum(first_pair) - 1  # each pair's rater, 0..r-1
+        rows = fi[first_pair] * n
+        lo = np.searchsorted(universe, rows)
+        sizes = np.searchsorted(universe, rows + n) - lo
+        band = values[_ranges(lo, lo + sizes)]
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        first = np.cumsum(sizes) - sizes
+        sums = np.bincount(owner, weights=band, minlength=sizes.size)
+        vmax = np.maximum.reduceat(band, first)
+        vmin = np.minimum.reduceat(band, first)
+        vmax2 = np.maximum.reduceat(_drop_first(band, owner, first, vmax, -np.inf), first)
+        vmin2 = np.minimum.reduceat(_drop_first(band, owner, first, vmin, np.inf), first)
+        loo_size = sizes[slot] - 1  # the judged ratee is always in the band
+        if cfg.center is GaussianCenter.RATER:
+            use = loo_size > 0
+        else:  # AUTO
+            use = loo_size >= cfg.min_band_size
+        s, x = slot[use], omega[use]
+        centers[use] = (sums[s] - x) / loo_size[use]
+        loo_max = np.where(x == vmax[s], vmax2[s], vmax[s])
+        loo_min = np.where(x == vmin[s], vmin2[s], vmin[s])
+        spreads[use] = loo_max - loo_min
         return centers, spreads
 
-    def _emit_audit_sparse(
+    def _emit_audit(
         self,
         interval_index: int,
         reputations: np.ndarray,
@@ -745,7 +556,7 @@ class CollusionDetector:
         b4: np.ndarray,
         weights: np.ndarray,
     ) -> None:
-        """Sparse mirror of :meth:`_emit_audit`: one event per flagged pair."""
+        """One audit event per frequency-flagged pair: damped or accepted."""
         from repro.obs import AuditEvent
 
         assert self._obs is not None
@@ -809,92 +620,6 @@ class CollusionDetector:
                 )
             )
         metrics.counter("detector.pairs_examined").inc(int(fi.size))
-        metrics.counter("detector.pairs_damped").inc(n_damped)
-
-    def _emit_audit(
-        self,
-        interval_index: int,
-        interval: IntervalRatings,
-        reputations: np.ndarray,
-        thresholds: DerivedThresholds,
-        flagged_pos: np.ndarray,
-        flagged_neg: np.ndarray,
-        closeness: np.ndarray,
-        similarity: np.ndarray,
-        b1: np.ndarray,
-        b2: np.ndarray,
-        b3: np.ndarray,
-        b4: np.ndarray,
-        weights: np.ndarray,
-    ) -> None:
-        """One audit event per frequency-flagged pair: damped or accepted."""
-        from repro.obs import AuditEvent
-
-        assert self._obs is not None
-        audit = self._obs.audit
-        metrics = self._obs.metrics
-        cfg = self._config
-        threshold_values = {
-            "T+": float(thresholds.pos_frequency),
-            "T-": float(thresholds.neg_frequency),
-            "TR": float(thresholds.low_reputation),
-            "Tcl": float(thresholds.closeness_low),
-            "Tch": float(thresholds.closeness_high),
-            "Tsl": float(thresholds.similarity_low),
-            "Tsh": float(thresholds.similarity_high),
-        }
-        examined = flagged_pos | flagged_neg
-        np.fill_diagonal(examined, False)
-        n_damped = 0
-        for i, j in np.argwhere(examined):
-            i, j = int(i), int(j)
-            omega_c = float(closeness[i, j])
-            omega_s = float(similarity[i, j])
-            fired = []
-            if flagged_pos[i, j]:
-                fired.append("T+")
-            if flagged_neg[i, j]:
-                fired.append("T-")
-            if float(reputations[j]) < thresholds.low_reputation:
-                fired.append("TR")
-            if cfg.use_closeness:
-                if omega_c < thresholds.closeness_low:
-                    fired.append("Tcl")
-                if omega_c > thresholds.closeness_high:
-                    fired.append("Tch")
-            if cfg.use_similarity:
-                if omega_s < thresholds.similarity_low:
-                    fired.append("Tsl")
-                if omega_s > thresholds.similarity_high:
-                    fired.append("Tsh")
-            behaviors = []
-            if b1[i, j]:
-                behaviors.append("B1")
-            if b2[i, j]:
-                behaviors.append("B2")
-            if b3[i, j]:
-                behaviors.append("B3")
-            if b4[i, j]:
-                behaviors.append("B4")
-            damped = bool(behaviors)
-            n_damped += damped
-            audit.record(
-                AuditEvent(
-                    interval=interval_index,
-                    rater=i,
-                    ratee=j,
-                    decision="damped" if damped else "accepted",
-                    behaviors=tuple(behaviors),
-                    fired=tuple(fired),
-                    closeness=omega_c,
-                    similarity=omega_s,
-                    weight=float(weights[i, j]) if damped else 1.0,
-                    pos_count=float(interval.pos_counts[i, j]),
-                    neg_count=float(interval.neg_counts[i, j]),
-                    thresholds=threshold_values,
-                )
-            )
-        metrics.counter("detector.pairs_examined").inc(int(examined.sum()))
         metrics.counter("detector.pairs_damped").inc(n_damped)
 
     def _low_reputation(self) -> float:

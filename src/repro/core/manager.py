@@ -31,9 +31,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.closeness import ClosenessComputer
-from repro.core.config import CoefficientBackend, SocialTrustConfig
+from repro.core.config import SocialTrustConfig
 from repro.core.detector import CollusionDetector, DetectionResult, Finding
 from repro.core.similarity import SimilarityComputer
+from repro.core.socialtrust import applied_pair_weight, coefficient_computers
 from repro.core.sparse import SparseClosenessComputer, SparseSimilarityComputer
 from repro.faults.injector import FaultInjector
 from repro.obs import NULL_TRACER, Observability
@@ -150,18 +151,9 @@ class DistributedSocialTrust(ReputationSystem):
         self._tracer = (
             observability.tracer if observability is not None else NULL_TRACER
         )
-        if self._config.coefficient_backend is CoefficientBackend.SPARSE:
-            self._closeness = SparseClosenessComputer(
-                social_view, interactions, self._config
-            )
-            self._similarity = SparseSimilarityComputer(profiles, self._config)
-            if observability is not None:
-                self._closeness.bind_metrics(observability.metrics)
-        else:
-            self._closeness = ClosenessComputer(
-                social_view, interactions, self._config
-            )
-            self._similarity = SimilarityComputer(profiles, self._config)
+        self._closeness, self._similarity = coefficient_computers(
+            social_view, interactions, profiles, self._config, observability
+        )
         self._detector = CollusionDetector(
             self._closeness, self._similarity, self._config,
             observability=observability,
@@ -196,6 +188,13 @@ class DistributedSocialTrust(ReputationSystem):
     @property
     def similarity_computer(self) -> SimilarityComputer | SparseSimilarityComputer:
         return self._similarity
+
+    def pair_weight(self, rater: int, ratee: int) -> float:
+        """Damping weight the managers applied to one rater→ratee pair in
+        the most recent :meth:`update` (1.0 before any update) — after
+        failover, degradation and Byzantine rewrites, so it is what the
+        pair's rating was actually scaled by."""
+        return applied_pair_weight(self._last_weights, self.n_nodes, rater, ratee)
 
     def manager_of(self, node: int) -> ResourceManager:
         return self._managers[int(self._assignment[node])]

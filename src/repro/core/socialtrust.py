@@ -28,6 +28,40 @@ from repro.social.interests import InterestProfiles
 __all__ = ["SocialTrust"]
 
 
+def coefficient_computers(
+    social_view: SocialView,
+    interactions: InteractionLedger,
+    profiles: InterestProfiles,
+    config: SocialTrustConfig,
+    observability: Observability | None = None,
+) -> tuple[
+    ClosenessComputer | SparseClosenessComputer,
+    SimilarityComputer | SparseSimilarityComputer,
+]:
+    """The Ωc/Ωs computers of the configured coefficient core."""
+    if config.coefficient_backend is CoefficientBackend.SPARSE:
+        closeness = SparseClosenessComputer(social_view, interactions, config)
+        if observability is not None:
+            closeness.bind_metrics(observability.metrics)
+        return closeness, SparseSimilarityComputer(profiles, config)
+    return (
+        ClosenessComputer(social_view, interactions, config),
+        SimilarityComputer(profiles, config),
+    )
+
+
+def applied_pair_weight(
+    weights: np.ndarray | None, n_nodes: int, rater: int, ratee: int
+) -> float:
+    """One pair's entry of the damping-weight matrix applied last interval
+    (1.0 before any interval) — the streaming service's damping query."""
+    if not (0 <= rater < n_nodes and 0 <= ratee < n_nodes):
+        raise ValueError(f"pair ({rater}, {ratee}) out of range [0, {n_nodes})")
+    if weights is None:
+        return 1.0
+    return float(weights[rater, ratee])
+
+
 class SocialTrust(ReputationSystem):
     """Collusion-resilient wrapper around a base reputation system.
 
@@ -71,18 +105,9 @@ class SocialTrust(ReputationSystem):
         self._config = config or SocialTrustConfig()
         self._obs = observability
         self._tracer = observability.tracer if observability is not None else NULL_TRACER
-        if self._config.coefficient_backend is CoefficientBackend.SPARSE:
-            self._closeness = SparseClosenessComputer(
-                social_view, interactions, self._config
-            )
-            self._similarity = SparseSimilarityComputer(profiles, self._config)
-            if observability is not None:
-                self._closeness.bind_metrics(observability.metrics)
-        else:
-            self._closeness = ClosenessComputer(
-                social_view, interactions, self._config
-            )
-            self._similarity = SimilarityComputer(profiles, self._config)
+        self._closeness, self._similarity = coefficient_computers(
+            social_view, interactions, profiles, self._config, observability
+        )
         self._detector = CollusionDetector(
             self._closeness, self._similarity, self._config,
             observability=observability,
@@ -144,13 +169,10 @@ class SocialTrust(ReputationSystem):
         anything — the streaming service's damping-query path.  1.0 when
         the pair was not adjusted last interval (or before any update).
         """
-        if not (0 <= rater < self.n_nodes and 0 <= ratee < self.n_nodes):
-            raise ValueError(
-                f"pair ({rater}, {ratee}) out of range [0, {self.n_nodes})"
-            )
-        if self._last_result is None:
-            return 1.0
-        return float(self._last_result.weights[rater, ratee])
+        result = self._last_result
+        return applied_pair_weight(
+            None if result is None else result.weights, self.n_nodes, rater, ratee
+        )
 
     @property
     def flag_counts(self) -> np.ndarray:

@@ -95,7 +95,7 @@ class SparseClosenessComputer:
 
     Same constructor signature and coefficient semantics; the all-pairs
     dense matrix is replaced by :meth:`matrix_csr` plus :meth:`pair_values`
-    (the detector's sparse pass only ever asks for flagged pairs and band
+    (the detector only ever asks for flagged pairs, active pairs and band
     neighbourhoods).  :meth:`closeness_matrix` densifies for small-n
     interop and testing.
     """

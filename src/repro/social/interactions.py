@@ -132,7 +132,7 @@ class InteractionLedger:
         matrix."""
         i = np.asarray(raters, dtype=np.int64)
         j = np.asarray(ratees, dtype=np.int64)
-        totals = self._counts[i].sum(axis=1)
+        totals = self._counts.sum(axis=1)[i]
         return np.divide(
             self._counts[i, j],
             totals,

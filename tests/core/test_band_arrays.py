@@ -1,18 +1,25 @@
-"""Leave-one-out band edge cases in :func:`repro.core.detector._band_arrays`.
+"""Leave-one-out band edge cases of both detector band computations.
 
-The vectorised band computation removes the judged pair from its rater's
-band via sorted-row extrema and ±inf sentinels.  The constructions that
-historically go wrong are pinned here directly against a brute-force
-per-pair reference: a rater with a single rated peer (the sentinel rows),
+The all-pairs oracle (:func:`repro.qa.reference._band_arrays`) removes the
+judged pair from its rater's band via sorted-row extrema and ±inf
+sentinels; the production pass (:meth:`CollusionDetector._bands`) sorts
+each flagged rater's band once by (rater, value).  The constructions that
+historically go wrong are pinned here against a brute-force per-pair
+reference: a rater with a single rated peer (the sentinel rows),
 duplicate row maxima (the runner-up must equal the maximum), and the
 RATER / AUTO / GLOBAL centring policies at the ``min_band_size`` edge.
+The ``-production`` cases run the production band step at every pair it
+can judge — a ratee inside its rater's rated set.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core.config import GaussianCenter, SocialTrustConfig
-from repro.core.detector import _band_arrays
+from repro.core.detector import CollusionDetector
+from repro.qa.reference import _band_arrays
 
 
 def brute_force(coeffs, rated_mask, global_values, config):
@@ -40,11 +47,37 @@ def brute_force(coeffs, rated_mask, global_values, config):
     return centers, spreads
 
 
-def assert_matches_reference(coeffs, rated_mask, global_values, config):
-    got_c, got_s = _band_arrays(coeffs, rated_mask, global_values, config)
+def oracle_bands(coeffs, rated_mask, global_values, config):
+    """All-pairs bands: every pair is judged."""
+    centers, spreads = _band_arrays(coeffs, rated_mask, global_values, config)
+    return np.ones(coeffs.shape, dtype=bool), centers.ravel(), spreads.ravel()
+
+
+def production_bands(coeffs, rated_mask, global_values, config):
+    """Flagged-pair bands with every rated pair flagged."""
+    n = coeffs.shape[0]
+    universe = np.flatnonzero(rated_mask)
+    values = coeffs.ravel()[universe]
+    computer = SimpleNamespace(n_nodes=n)
+    detector = CollusionDetector(computer, computer, config)
+    centers, spreads = detector._bands(
+        universe, values, universe // n, values, global_values
+    )
+    return rated_mask, centers, spreads
+
+
+def band_cases(centers):
+    return [pytest.param(c, oracle_bands, id=c) for c in centers] + [
+        pytest.param(c, production_bands, id=f"{c}-production") for c in centers
+    ]
+
+
+def assert_matches_reference(coeffs, rated_mask, global_values, config, bands):
+    judged, got_c, got_s = bands(coeffs, rated_mask, global_values, config)
     want_c, want_s = brute_force(coeffs, rated_mask, global_values, config)
-    np.testing.assert_allclose(got_c, want_c, atol=1e-12, rtol=0.0)
-    np.testing.assert_allclose(got_s, want_s, atol=1e-12, rtol=0.0)
+    assert got_c.size == judged.sum() > 0
+    np.testing.assert_allclose(got_c, want_c[judged], atol=1e-12, rtol=0.0)
+    np.testing.assert_allclose(got_s, want_s[judged], atol=1e-12, rtol=0.0)
     assert np.all(np.isfinite(got_c)) and np.all(np.isfinite(got_s))
 
 
@@ -69,10 +102,12 @@ class TestSingleRatedPeer:
         self.rated = np.zeros((self.n, self.n), dtype=bool)
         self.rated[0, 1] = True  # rater 0 rated exactly one node
 
-    @pytest.mark.parametrize("center", ["rater", "auto", "global"])
-    def test_matches_reference_without_inf_leak(self, center):
+    @pytest.mark.parametrize("center,bands", band_cases(["rater", "auto", "global"]))
+    def test_matches_reference_without_inf_leak(self, center, bands):
         config = SocialTrustConfig(center=center)
-        assert_matches_reference(self.coeffs, self.rated, GLOBAL_VALUES, config)
+        assert_matches_reference(
+            self.coeffs, self.rated, GLOBAL_VALUES, config, bands
+        )
 
     def test_judged_pair_falls_back_to_global(self):
         config = SocialTrustConfig(center="rater")
@@ -99,10 +134,12 @@ class TestDuplicateExtrema:
         self.rated = np.zeros((self.n, self.n), dtype=bool)
         self.rated[0, 1:] = True
 
-    @pytest.mark.parametrize("center", ["rater", "auto"])
-    def test_matches_reference(self, center):
+    @pytest.mark.parametrize("center,bands", band_cases(["rater", "auto"]))
+    def test_matches_reference(self, center, bands):
         config = SocialTrustConfig(center=center)
-        assert_matches_reference(self.coeffs, self.rated, GLOBAL_VALUES, config)
+        assert_matches_reference(
+            self.coeffs, self.rated, GLOBAL_VALUES, config, bands
+        )
 
     def test_removing_one_duplicate_keeps_spread(self):
         config = SocialTrustConfig(center="rater")
@@ -127,10 +164,12 @@ class TestCenterPolicyAtMinBandSize:
         # pairs outside it have loo_size = min_band_size (AUTO: own band).
         self.rated[0, 1:4] = True
 
-    @pytest.mark.parametrize("center", ["rater", "auto", "global"])
-    def test_matches_reference(self, center):
+    @pytest.mark.parametrize("center,bands", band_cases(["rater", "auto", "global"]))
+    def test_matches_reference(self, center, bands):
         config = SocialTrustConfig(center=center, min_band_size=3)
-        assert_matches_reference(self.coeffs, self.rated, GLOBAL_VALUES, config)
+        assert_matches_reference(
+            self.coeffs, self.rated, GLOBAL_VALUES, config, bands
+        )
 
     def test_auto_splits_on_the_boundary(self):
         config = SocialTrustConfig(center="auto", min_band_size=3)

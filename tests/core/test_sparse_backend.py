@@ -7,6 +7,8 @@ Exact mode (``sparse_top_k=None``) has no approximation — only float
 summation order differs — so the tolerance here is tight.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.closeness import ClosenessComputer
 from repro.core.config import SocialTrustConfig
-from repro.core.detector import CollusionDetector, SparseDetectionResult
+from repro.core.detector import CollusionDetector, DetectionResult
 from repro.core.similarity import SimilarityComputer
 from repro.core.sparse import (
     SparseClosenessComputer,
@@ -285,19 +287,23 @@ class TestSparseDetector:
         interval = self._interval(rng)
         reputations = np.full(N, 1.0 / N)
         rated = sparse.csr_matrix(interval.counts > 0)
-        result = sparse_det.analyze_sparse(
-            sparse.csr_matrix(interval.pos_counts),
-            sparse.csr_matrix(interval.neg_counts),
+        result = sparse_det.analyze(
+            SimpleNamespace(
+                pos_counts=sparse.csr_matrix(interval.pos_counts),
+                neg_counts=sparse.csr_matrix(interval.neg_counts),
+            ),
             reputations,
             rated,
         )
-        assert isinstance(result, SparseDetectionResult)
+        assert isinstance(result, DetectionResult)
+        assert "weights" not in vars(result), "dense weights built eagerly"
         assert result.pairs.shape == (result.pair_weights.shape[0], 2)
         assert result.pairs.shape[0] > 0
         assert np.all(result.pair_weights <= 1.0)
         assert np.any(result.pair_weights < 1.0)
-        dense_w = result.weights_dense()
+        dense_w = result.weights
         assert dense_w.shape == (N, N)
+        assert result.weights is dense_w, "dense weights rebuilt per access"
         ones = np.ones((N, N))
         ones[result.pairs[:, 0], result.pairs[:, 1]] = result.pair_weights
         np.testing.assert_array_equal(dense_w, ones)

@@ -18,6 +18,7 @@ from repro.serve import (
     WatermarkEvent,
 )
 from repro.serve.driver import drive_lines, serve_socket
+from repro.serve.recorder import record_scenario_events
 
 
 def small_spec(**world):
@@ -127,6 +128,35 @@ class TestQueries:
         )
         value = service.query(QueryRequest(rater=0, ratee=1)).value
         assert 0.0 <= value <= 1.0
+
+    def test_pair_weight_distributed_matches_centralised(self):
+        # Fault-free resource managers apply exactly the centralised
+        # detector's weights, so every damping answer must agree.
+        answers = {}
+        for n_managers in (0, 3):
+            spec = ScenarioSpec(
+                system="EigenTrust+SocialTrust",
+                collusion="pcm",
+                seed=0,
+                world={
+                    "n_nodes": 40,
+                    "n_pretrusted": 3,
+                    "n_colluders": 8,
+                    "simulation_cycles": 3,
+                    "n_managers": n_managers,
+                },
+            )
+            service = ReputationService(spec)
+            service.serve_events(record_scenario_events(spec, cycles=3).events)
+            answers[n_managers] = np.array(
+                [
+                    service.query(QueryRequest(rater=i, ratee=j)).value
+                    for i in range(40)
+                    for j in range(40)
+                ]
+            ).reshape(40, 40)
+        np.testing.assert_array_equal(answers[3], answers[0])
+        assert answers[3][3, 4] < 1.0
 
     def test_pair_weight_is_one_for_base_systems(self):
         service = ReputationService(

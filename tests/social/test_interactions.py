@@ -1,5 +1,7 @@
 """Tests for the interaction-frequency ledger."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -96,6 +98,25 @@ class TestInteractionLedger:
         assert np.all(m <= 1 + 1e-12)
         row_sums = m.sum(axis=1)
         assert np.all((np.abs(row_sums - 1) < 1e-9) | (row_sums == 0))
+
+    def test_share_pairs_never_copies_rows(self):
+        # Row totals are read from one (n,) reduction: gathering a full
+        # row per pair would allocate m x n floats (64 MB here).
+        n, m = 400, 20_000
+        rng = np.random.default_rng(0)
+        ledger = InteractionLedger(n)
+        src = rng.integers(0, n, 4 * m)
+        ledger.record_many(src, (src + rng.integers(1, n, 4 * m)) % n)
+        raters = rng.integers(0, n, m)
+        ratees = rng.integers(0, n, m)
+        tracemalloc.start()
+        try:
+            got = ledger.share_pairs(raters, ratees)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"share_pairs peaked at {peak / 2**20:.1f} MiB"
+        np.testing.assert_array_equal(got, ledger.share_matrix()[raters, ratees])
 
 
 class TestDecayNodes:
