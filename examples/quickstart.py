@@ -7,7 +7,8 @@ SocialTrust — and prints the group reputations and the share of service
 requests the colluders manage to capture.
 
 The whole world (population, overlay, social network, ledgers, reputation
-stack, attack schedule, simulator) is assembled by one
+stack, attack schedule, simulator) is described by one
+:class:`repro.api.ScenarioSpec` and assembled by one
 :func:`repro.api.build_scenario` call; see ``git log`` for the manual
 wiring this replaced.
 
@@ -16,35 +17,36 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro.api import ScenarioResult, build_scenario
+from repro.api import ScenarioResult, ScenarioSpec, SystemKind, build_scenario
 
 SEED = 42
 
 
-def run_variant(use_socialtrust: bool) -> ScenarioResult:
+#: The base stack; SocialTrust wraps it in the second run.
+BASE_SYSTEM = SystemKind.EIGENTRUST
+
+WORLD = dict(
+    # Peers: 5 pre-trusted (always serve well), 20 pair-wise colluders
+    # (serve well 60% of the time), everyone else 80%.
+    n_nodes=100,
+    n_pretrusted=5,
+    n_colluders=20,
+    n_interests=15,
+    interests_per_node=(1, 6),
+    colluder_b=0.6,
+    # The attack: colluder pairs exchange 20 positive ratings per query
+    # cycle (the paper's PCM model), keeping their natural interests.
+    pcm_ratings_per_cycle=20,
+    colluder_low_interest_overlap=False,
+    simulation_cycles=15,
+    query_cycles=20,
+)
+
+
+def run_variant(system: SystemKind) -> ScenarioResult:
     """One fully wired simulation; both variants share the same seed."""
-    scenario = build_scenario(
-        # Peers: 5 pre-trusted (always serve well), 20 pair-wise colluders
-        # (serve well 60% of the time), everyone else 80%.
-        n_nodes=100,
-        n_pretrusted=5,
-        n_colluders=20,
-        n_interests=15,
-        interests_per_node=(1, 6),
-        colluder_b=0.6,
-        # The attack: colluder pairs exchange 20 positive ratings per query
-        # cycle (the paper's PCM model), keeping their natural interests.
-        collusion="pcm",
-        pcm_ratings_per_cycle=20,
-        colluder_low_interest_overlap=False,
-        # Reputation stack: EigenTrust, optionally wrapped by SocialTrust.
-        system="EigenTrust",
-        use_socialtrust=use_socialtrust,
-        simulation_cycles=15,
-        query_cycles=20,
-        seed=SEED,
-    )
-    return scenario.run()
+    spec = ScenarioSpec(system=system, collusion="pcm", seed=SEED, world=WORLD)
+    return build_scenario(spec).run()
 
 
 def report(label: str, result: ScenarioResult) -> None:
@@ -56,9 +58,8 @@ def report(label: str, result: ScenarioResult) -> None:
 
 
 def main() -> None:
-    for use_socialtrust in (False, True):
-        label = "EigenTrust + SocialTrust" if use_socialtrust else "Plain EigenTrust"
-        report(label, run_variant(use_socialtrust))
+    report("Plain EigenTrust", run_variant(BASE_SYSTEM))
+    report("EigenTrust + SocialTrust", run_variant(BASE_SYSTEM.socialtrust))
     print(
         "\nPlain EigenTrust lets the colluding pairs inflate each other; "
         "SocialTrust damps their mutual ratings (suspicious frequency at "

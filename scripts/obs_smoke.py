@@ -17,7 +17,7 @@ into a non-empty hot-path table.
 
 Exits non-zero on any failure, so the CI step is a real gate, not a
 smoke signal.  CI runs this under ``python -W error::DeprecationWarning``
-— the traced path must not lean on any deprecated shim.
+so a deprecation warning anywhere on the traced path fails the run.
 """
 
 from __future__ import annotations
@@ -47,19 +47,21 @@ from repro.serve import RatingEvent, ReputationService, WatermarkEvent
 
 
 def smoke_batch_trace() -> None:
-    result = run_scenario(
-        n_nodes=40,
-        n_pretrusted=3,
-        n_colluders=8,
+    spec = ScenarioSpec(
         system="EigenTrust+SocialTrust",
         collusion="pcm",
-        simulation_cycles=3,
-        n_interests=8,
-        interests_per_node=(1, 4),
-        query_cycles=6,
         seed=1,
-        observability=True,
+        world=dict(
+            n_nodes=40,
+            n_pretrusted=3,
+            n_colluders=8,
+            simulation_cycles=3,
+            n_interests=8,
+            interests_per_node=(1, 4),
+            query_cycles=6,
+        ),
     )
+    result = run_scenario(spec, observability=True)
     obs = result.observability
     assert obs is not None, "observability bundle missing from the result"
 

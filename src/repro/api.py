@@ -3,31 +3,27 @@
 Before this module existed, every entry point — ``examples/quickstart.py``,
 ``examples/reproduce_paper.py``, the CLI — hand-wired the same dozen
 objects (population, overlay, social network, ledgers, reputation stack,
-collusion schedule, simulator).  The facade collapses that wiring into two
-calls:
+collusion schedule, simulator).  The facade collapses that wiring into
+one value and one call:
 
->>> from repro.api import build_scenario
->>> scenario = build_scenario(
-...     n_nodes=100, n_colluders=20, collusion="pcm",
-...     system="EigenTrust+SocialTrust", simulation_cycles=15, seed=42,
+>>> from repro.api import ScenarioSpec, build_scenario
+>>> spec = ScenarioSpec.from_build(
+...     {"system": "EigenTrust+SocialTrust", "collusion": "pcm",
+...      "n_nodes": 100, "n_colluders": 20, "simulation_cycles": 15},
+...     seed=42,
 ... )
->>> result = scenario.run()
->>> print(result.summary())            # doctest: +SKIP
+>>> result = build_scenario(spec).run()  # doctest: +SKIP
+>>> print(result.summary())              # doctest: +SKIP
 
-The scenario surface has two equivalent spellings:
-
-* the **legacy keyword bag** shown above — every
-  :class:`~repro.experiments.setup.WorldConfig` field as a keyword, enums
-  accepted as strings; old spellings from earlier example scripts keep
-  working through :func:`repro.utils.deprecation.deprecated_alias` shims;
-* the **typed spec**: a frozen :class:`ScenarioSpec` value carrying the
-  same information, hashable, JSON-round-trippable
-  (:meth:`ScenarioSpec.to_dict` / :meth:`ScenarioSpec.from_dict`), and
-  accepted positionally by :func:`build_scenario` / :func:`run_scenario`.
-  Golden traces, checkpoints and the streaming service all describe
-  scenarios through the spec's flat build-keyword form
-  (:meth:`ScenarioSpec.build_kwargs`), so one self-describing contract
-  covers every persisted artifact.
+A :class:`ScenarioSpec` is the only way in: a frozen value naming the
+reputation system, the collusion model, the RNG identity
+``(seed, run_index)`` and any :class:`~repro.experiments.setup.WorldConfig`
+overrides.  It is hashable and JSON-round-trippable
+(:meth:`ScenarioSpec.to_dict` / :meth:`ScenarioSpec.from_dict`).  Golden
+traces, checkpoints and the streaming service all describe scenarios
+through the spec's flat build-keyword form
+(:meth:`ScenarioSpec.build_kwargs` / :meth:`ScenarioSpec.from_build`), so
+one self-describing contract covers every persisted artifact.
 
 :func:`run_scenario` builds and runs in one step, and
 :class:`ScenarioResult` bundles the reputations, history, metrics, and
@@ -43,6 +39,9 @@ change so downstream callers can assert compatibility explicitly.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import json
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 from typing import Any, Mapping
@@ -59,7 +58,6 @@ from repro.experiments.setup import (
 )
 from repro.obs import Observability
 from repro.p2p import MetricsCollector, Simulation
-from repro.utils.deprecation import deprecated_alias, deprecated_param
 
 __all__ = [
     "API_VERSION",
@@ -79,15 +77,10 @@ __all__ = [
 #: 2.0 introduced :class:`ScenarioSpec`, the typed :func:`run_scenario`
 #: signature, and the streaming-service event types.  3.0 removed the
 #: ``engine`` world field and its enum from ``repro.p2p``: the batched
-#: query-cycle engine is the only production engine.
-API_VERSION = "3.0"
-
-#: The socialtrust-wrapped counterpart of each base reputation stack.
-_SOCIALTRUST_OF = {
-    SystemKind.EIGENTRUST: SystemKind.EIGENTRUST_SOCIALTRUST,
-    SystemKind.EBAY: SystemKind.EBAY_SOCIALTRUST,
-    SystemKind.POWERTRUST: SystemKind.POWERTRUST_SOCIALTRUST,
-}
+#: query-cycle engine is the only production engine.  4.0 made the spec
+#: the only input of :func:`build_scenario` / :func:`run_scenario`: the
+#: scenario keyword bag and its deprecated aliases are gone.
+API_VERSION = "4.0"
 
 
 def _canon(label: str) -> str:
@@ -107,22 +100,16 @@ _COLLUSION_BY_NAME = {
 }
 
 
-def _resolve_system(
-    system: SystemKind | str, use_socialtrust: bool | None
-) -> SystemKind:
+def _resolve_system(system: SystemKind | str) -> SystemKind:
     if isinstance(system, str):
         try:
-            system = _SYSTEM_BY_NAME[_canon(system)]
+            return _SYSTEM_BY_NAME[_canon(system)]
         except KeyError:
             options = sorted({kind.value for kind in SystemKind})
             raise ValueError(
                 f"unknown reputation system {system!r}; choose from {options}"
             ) from None
-    if use_socialtrust is None:
-        return system
-    if use_socialtrust:
-        return _SOCIALTRUST_OF.get(system, system)
-    return system.base
+    return system
 
 
 def _resolve_collusion(collusion: CollusionKind | str) -> CollusionKind:
@@ -235,7 +222,17 @@ class Scenario:
 
     def run(self, simulation_cycles: int | None = None) -> ScenarioResult:
         """Run the simulation (optionally overriding the cycle count)."""
-        metrics = self.world.simulation.run(simulation_cycles)
+        self.world.simulation.run(simulation_cycles)
+        return self.result()
+
+    def result(self) -> ScenarioResult:
+        """The result of the cycles run so far.
+
+        :meth:`run` ends with this; a caller that drives the simulation
+        cycle by cycle (to checkpoint between cycles, say) calls it when
+        done.
+        """
+        metrics = self.world.simulation.metrics
         return ScenarioResult(
             config=self.config,
             seed=self.seed,
@@ -248,20 +245,33 @@ class Scenario:
         )
 
 
-_WORLD_FIELDS = frozenset(f.name for f in fields(WorldConfig))
-
 #: WorldConfig fields a ScenarioSpec may override (system/collusion are
 #: first-class spec fields, not world overrides).
-_SPEC_WORLD_FIELDS = _WORLD_FIELDS - {"system", "collusion"}
+_WORLD_FIELDS = frozenset(f.name for f in fields(WorldConfig)) - {
+    "system",
+    "collusion",
+}
 
 
-@dataclass(frozen=True)
+def _json_default(value: Any) -> Any:
+    """Canonical JSON form of the non-JSON values a world may carry."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return dataclasses.asdict(value)
+    raise TypeError(
+        f"ScenarioSpec.world value {value!r} has no JSON form"
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class ScenarioSpec:
     """Typed, immutable, serialisable description of one scenario.
 
-    A spec is the value-object form of a :func:`build_scenario` call:
-    which reputation ``system`` to run, which ``collusion`` model to
-    schedule, the RNG identity ``(seed, run_index)``, and any
+    A spec is the only input of :func:`build_scenario` /
+    :func:`run_scenario`: which reputation ``system`` to run, which
+    ``collusion`` model to schedule, the RNG identity
+    ``(seed, run_index)``, and any
     :class:`~repro.experiments.setup.WorldConfig` overrides in ``world``
     (keyed by field name, e.g. ``{"n_nodes": 100, "n_colluders": 15}``).
 
@@ -271,11 +281,16 @@ class ScenarioSpec:
     constructed spec is always well-formed.  Specs round-trip through
     plain JSON dicts (:meth:`to_dict` / :meth:`from_dict`), which is how
     recorded event streams and service checkpoints carry their scenario
-    identity.
+    identity.  Equality and hashing go through the canonical JSON form
+    of :meth:`to_dict`, so a spec equals (and hashes like) its own JSON
+    round trip: a tuple world value and the list JSON returns for it
+    compare equal, and dict-valued fields (``socialtrust``, ``chaos``,
+    ``faults``) hash.
 
-    >>> spec = ScenarioSpec.from_kwargs(
-    ...     system="EigenTrust+SocialTrust", collusion="pcm",
-    ...     seed=7, n_nodes=50, n_colluders=10,
+    >>> spec = ScenarioSpec.from_build(
+    ...     {"system": "EigenTrust+SocialTrust", "collusion": "pcm",
+    ...      "n_nodes": 50, "n_colluders": 10},
+    ...     seed=7,
     ... )
     >>> spec == ScenarioSpec.from_dict(spec.to_dict())
     True
@@ -288,69 +303,34 @@ class ScenarioSpec:
     world: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "system", _resolve_system(self.system, None)
-        )
+        object.__setattr__(self, "system", _resolve_system(self.system))
         object.__setattr__(
             self, "collusion", _resolve_collusion(self.collusion)
         )
         world = dict(self.world)
-        unknown = sorted(set(world) - _SPEC_WORLD_FIELDS)
+        unknown = sorted(set(world) - _WORLD_FIELDS)
         if unknown:
             raise ValueError(
                 f"ScenarioSpec.world got unknown WorldConfig field(s) "
-                f"{unknown}; valid fields: {sorted(_SPEC_WORLD_FIELDS)}"
+                f"{unknown}; valid fields: {sorted(_WORLD_FIELDS)}"
             )
         object.__setattr__(self, "world", MappingProxyType(world))
 
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.system,
-                self.collusion,
-                self.seed,
-                self.run_index,
-                tuple(sorted(self.world.items(), key=lambda kv: kv[0])),
-            )
+    def _canonical(self) -> str:
+        return json.dumps(
+            self.to_dict(),
+            sort_keys=True,
+            separators=(",", ":"),
+            default=_json_default,
         )
+
+    def __hash__(self) -> int:
+        return hash(self._canonical())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScenarioSpec):
             return NotImplemented
-        return (
-            self.system is other.system
-            and self.collusion is other.collusion
-            and self.seed == other.seed
-            and self.run_index == other.run_index
-            and dict(self.world) == dict(other.world)
-        )
-
-    @classmethod
-    def from_kwargs(
-        cls,
-        *,
-        seed: int = 0,
-        run_index: int = 0,
-        system: SystemKind | str = SystemKind.EIGENTRUST,
-        use_socialtrust: bool | None = None,
-        collusion: CollusionKind | str = CollusionKind.NONE,
-        **config_fields: Any,
-    ) -> "ScenarioSpec":
-        """Build a spec from the same keywords :func:`build_scenario` takes."""
-        unknown = sorted(set(config_fields) - _SPEC_WORLD_FIELDS)
-        if unknown:
-            raise TypeError(
-                f"ScenarioSpec.from_kwargs() got unknown keyword(s) "
-                f"{unknown}; valid keywords are the WorldConfig fields "
-                f"plus seed/run_index/system/use_socialtrust/collusion"
-            )
-        return cls(
-            system=_resolve_system(system, use_socialtrust),
-            collusion=_resolve_collusion(collusion),
-            seed=seed,
-            run_index=run_index,
-            world=config_fields,
-        )
+        return self._canonical() == other._canonical()
 
     @classmethod
     def from_build(
@@ -363,18 +343,15 @@ class ScenarioSpec:
         """Build a spec from a flat build-keyword mapping.
 
         ``build`` is the shape golden traces and checkpoint headers use:
-        WorldConfig fields plus optional ``system`` / ``collusion`` string
-        keys, e.g. ``{"system": "eBay+SocialTrust", "collusion": "mcm",
+        WorldConfig fields plus optional ``system`` / ``collusion`` keys
+        (enum members or their string names), e.g.
+        ``{"system": "eBay+SocialTrust", "collusion": "mcm",
         "n_nodes": 30}``.
         """
         build = dict(build)
         return cls(
-            system=_resolve_system(
-                build.pop("system", SystemKind.EIGENTRUST), None
-            ),
-            collusion=_resolve_collusion(
-                build.pop("collusion", CollusionKind.NONE)
-            ),
+            system=build.pop("system", SystemKind.EIGENTRUST),
+            collusion=build.pop("collusion", CollusionKind.NONE),
             seed=seed,
             run_index=run_index,
             world=build,
@@ -435,75 +412,39 @@ class ScenarioSpec:
         return replace(self, world=world, **direct)
 
 
-@deprecated_alias(
-    n_cycles="simulation_cycles",
-    cycles="simulation_cycles",
-    exploration="selection_exploration",
-    policy="selection_policy",
-    malicious_authentic_prob="colluder_b",
-    ratings_per_cycle="pcm_ratings_per_cycle",
-    query_cycles_per_simulation_cycle="query_cycles",
-)
+def _require_spec(caller: str, spec: Any, unexpected: Mapping[str, Any]) -> None:
+    """Refuse anything but ``(spec, observability=...)``."""
+    if isinstance(spec, ScenarioSpec) and not unexpected:
+        return
+    got = (
+        f"keyword(s) {sorted(unexpected)}"
+        if unexpected
+        else f"{type(spec).__name__} where a ScenarioSpec belongs"
+    )
+    raise TypeError(
+        f"{caller}() takes a ScenarioSpec and an optional observability=, "
+        f"got {got}; describe the scenario with "
+        f"ScenarioSpec.from_build({{...}}, seed=..., run_index=...)"
+    )
+
+
 def build_scenario(
     spec: ScenarioSpec | None = None,
     *,
-    seed: int = 0,
-    run_index: int = 0,
-    system: SystemKind | str = SystemKind.EIGENTRUST,
-    use_socialtrust: bool | None = None,
-    collusion: CollusionKind | str = CollusionKind.NONE,
     observability: bool | Observability | None = None,
-    **config_fields,
+    **unexpected: Any,
 ) -> Scenario:
-    """Build one fully wired scenario from a spec or keyword arguments.
+    """Build one fully wired scenario from a :class:`ScenarioSpec`.
 
-    Pass either a :class:`ScenarioSpec` positionally (``observability`` is
-    the only keyword that may accompany it) or the legacy keyword bag:
-    ``system`` and ``collusion`` accept the enum members or their string
-    names (``"EigenTrust+SocialTrust"``, ``"pcm"``, ...); setting
-    ``use_socialtrust`` swaps a base system for its SocialTrust-wrapped
-    variant (or back).  ``observability=True`` (or a pre-built
-    :class:`~repro.obs.Observability`) attaches span tracing, the metrics
-    registry and the detector audit log; the bundle comes back on
-    :attr:`Scenario.observability` / :attr:`ScenarioResult.observability`.
-    Every other keyword must be a
-    :class:`~repro.experiments.setup.WorldConfig` field and is forwarded
-    verbatim.  ``(seed, run_index)`` key the RNG streams exactly as
-    :func:`~repro.experiments.setup.build_world` does.
+    ``observability=True`` (or a pre-built :class:`~repro.obs.Observability`)
+    attaches span tracing, the metrics registry and the detector audit
+    log; the bundle comes back on :attr:`Scenario.observability` /
+    :attr:`ScenarioResult.observability`.  The spec's ``(seed,
+    run_index)`` key the RNG streams exactly as
+    :func:`~repro.experiments.setup.build_world` does.  Any other
+    argument raises :class:`TypeError`.
     """
-    if spec is not None:
-        if not isinstance(spec, ScenarioSpec):
-            raise TypeError(
-                f"build_scenario() positional argument must be a "
-                f"ScenarioSpec, got {type(spec).__name__}"
-            )
-        if (
-            config_fields
-            or seed != 0
-            or run_index != 0
-            or system is not SystemKind.EIGENTRUST
-            or use_socialtrust is not None
-            or collusion is not CollusionKind.NONE
-        ):
-            raise TypeError(
-                "build_scenario() takes either a ScenarioSpec or scenario "
-                "keywords, not both (observability may accompany a spec); "
-                "use spec.with_updates(...) to vary a spec"
-            )
-        resolved_system = spec.system
-        resolved_collusion = spec.collusion
-        seed, run_index = spec.seed, spec.run_index
-        config_fields = dict(spec.world)
-    else:
-        unknown = sorted(set(config_fields) - _WORLD_FIELDS)
-        if unknown:
-            raise TypeError(
-                f"build_scenario() got unknown keyword(s) {unknown}; valid "
-                f"keywords are the WorldConfig fields plus seed/run_index/"
-                f"system/use_socialtrust/collusion/observability"
-            )
-        resolved_system = _resolve_system(system, use_socialtrust)
-        resolved_collusion = _resolve_collusion(collusion)
+    _require_spec("build_scenario", spec, unexpected)
     if observability is True:
         obs: Observability | None = Observability()
     elif observability is False:
@@ -511,57 +452,29 @@ def build_scenario(
     else:
         obs = observability
     config = WorldConfig(
-        system=resolved_system,
-        collusion=resolved_collusion,
-        **config_fields,
+        system=spec.system, collusion=spec.collusion, **spec.world
     )
-    world = build_world(config, seed=seed, run_index=run_index, observability=obs)
-    return Scenario(config=config, seed=seed, run_index=run_index, world=world)
+    world = build_world(
+        config, seed=spec.seed, run_index=spec.run_index, observability=obs
+    )
+    return Scenario(
+        config=config, seed=spec.seed, run_index=spec.run_index, world=world
+    )
 
 
-@deprecated_param(
-    "progress",
-    reason="the facade never rendered progress output; wrap the call at the "
-    "call site if you need it",
-)
-@deprecated_alias(
-    n_cycles="simulation_cycles",
-    cycles="simulation_cycles",
-    exploration="selection_exploration",
-    policy="selection_policy",
-    malicious_authentic_prob="colluder_b",
-    ratings_per_cycle="pcm_ratings_per_cycle",
-    query_cycles_per_simulation_cycle="query_cycles",
-)
 def run_scenario(
     spec: ScenarioSpec | None = None,
     *,
-    seed: int = 0,
-    run_index: int = 0,
-    system: SystemKind | str = SystemKind.EIGENTRUST,
-    use_socialtrust: bool | None = None,
-    collusion: CollusionKind | str = CollusionKind.NONE,
     observability: bool | Observability | None = None,
-    **config_fields,
+    **unexpected: Any,
 ) -> ScenarioResult:
     """Build and run a scenario in one call.
 
-    Mirrors :func:`build_scenario` exactly — a :class:`ScenarioSpec`
-    positionally, or the explicit keyword surface (``seed``,
-    ``run_index``, ``system``, ``use_socialtrust``, ``collusion``,
-    ``observability``, plus any WorldConfig field such as
-    ``simulation_cycles``) — then runs the world to completion.
+    Takes exactly what :func:`build_scenario` takes, then runs the world
+    for the spec's ``simulation_cycles``.
     """
-    return build_scenario(
-        spec,
-        seed=seed,
-        run_index=run_index,
-        system=system,
-        use_socialtrust=use_socialtrust,
-        collusion=collusion,
-        observability=observability,
-        **config_fields,
-    ).run()
+    _require_spec("run_scenario", spec, unexpected)
+    return build_scenario(spec, observability=observability).run()
 
 
 def run_experiment(experiment_id: str, **kwargs):

@@ -12,6 +12,7 @@ from repro.chaos.checkpoint import (
     decode_state,
     encode_state,
     load_checkpoint,
+    load_scenario_checkpoint,
     resume_scenario,
     save_checkpoint,
 )
@@ -25,6 +26,7 @@ __all__ = [
     "decode_state",
     "encode_state",
     "load_checkpoint",
+    "load_scenario_checkpoint",
     "resume_scenario",
     "save_checkpoint",
 ]

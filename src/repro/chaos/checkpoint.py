@@ -2,19 +2,23 @@
 
 A checkpoint is a two-line JSONL file:
 
-1. a **header** carrying the :func:`repro.api.build_scenario` keyword
-   arguments (the same self-describing contract as the golden-trace
-   headers), the seed/run-index, and the cycle count at capture time;
+1. a **header** carrying the scenario as a
+   :class:`repro.api.ScenarioSpec`'s flat build mapping
+   (:meth:`~repro.api.ScenarioSpec.build_kwargs`, the same
+   self-describing contract as the golden-trace headers), its
+   seed/run-index, and the cycle count at capture time;
 2. a **state** line carrying :meth:`repro.p2p.simulator.Simulation.checkpoint`
    with every ndarray base64-encoded (raw little-endian bytes — exact, no
    decimal round-trip) and non-finite floats tagged.
 
-Recovery rebuilds the scenario from the header (static structure —
-population, overlay, social graph, collusion schedule — is a pure
-function of the build arguments and seed) and restores the mutable state
-on top.  The resumed process continues **bit-identically** to the
-uninterrupted run; the kill-and-resume test pins that with a strict
-golden-trace diff.
+This module is the one place that writes and reads the header's
+scenario fields: :func:`save_checkpoint` takes the spec, and
+:func:`load_scenario_checkpoint` hands it back.  Recovery rebuilds the
+scenario from that spec (static structure — population, overlay, social
+graph, collusion schedule — is a pure function of the spec) and restores
+the mutable state on top.  The resumed process continues
+**bit-identically** to the uninterrupted run; the kill-and-resume test
+pins that with a strict golden-trace diff.
 """
 
 from __future__ import annotations
@@ -23,10 +27,13 @@ import base64
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 from scipy import sparse
+
+if TYPE_CHECKING:
+    from repro.api import Scenario, ScenarioSpec
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
@@ -34,6 +41,7 @@ __all__ = [
     "decode_state",
     "save_checkpoint",
     "load_checkpoint",
+    "load_scenario_checkpoint",
     "resume_scenario",
 ]
 
@@ -112,19 +120,17 @@ def decode_state(value: Any) -> Any:
 def save_checkpoint(
     simulation,
     path: Path | str,
+    spec: "ScenarioSpec",
     *,
-    build: dict[str, Any],
-    seed: int = 0,
-    run_index: int = 0,
     kind: str = "simulation",
 ) -> Path:
     """Capture ``simulation`` at its current cycle boundary into ``path``.
 
-    ``build`` must be the JSON-serializable keyword arguments that
-    reconstruct the scenario via :func:`repro.api.build_scenario` —
-    exactly what :class:`~repro.qa.golden.GoldenScenario` stores.  The
-    file is written atomically (temp file + rename) so a crash mid-write
-    never leaves a truncated checkpoint behind.
+    ``spec`` is the scenario ``simulation`` was built from; the header
+    stores its :meth:`~repro.api.ScenarioSpec.build_kwargs`, seed and
+    run index, which :func:`load_scenario_checkpoint` turns back into
+    the spec.  The file is written atomically (temp file + rename) so a
+    crash mid-write never leaves a truncated checkpoint behind.
 
     ``simulation`` is duck-typed: anything with a ``checkpoint()`` dict
     and a ``cycles_run`` count.  ``kind`` names the producer so recovery
@@ -140,9 +146,9 @@ def save_checkpoint(
         "type": "header",
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "kind": str(kind),
-        "build": dict(build),
-        "seed": int(seed),
-        "run_index": int(run_index),
+        "build": spec.build_kwargs(),
+        "seed": int(spec.seed),
+        "run_index": int(spec.run_index),
         "cycles_run": simulation.cycles_run,
     }
     state = {"type": "state", "state": encode_state(simulation.checkpoint())}
@@ -177,26 +183,52 @@ def load_checkpoint(path: Path | str) -> tuple[dict[str, Any], dict[str, Any]]:
     return header, decode_state(payload["state"])
 
 
-def resume_scenario(path: Path | str):
+#: How each checkpoint kind is resumed, and what the kind is called.
+_KINDS = {
+    "simulation": ("batch-simulation", "repro.chaos.resume_scenario"),
+    "service": ("service", "repro.serve.ReputationService.from_checkpoint"),
+}
+
+
+def load_scenario_checkpoint(
+    path: Path | str, *, kind: str = "simulation"
+) -> tuple["ScenarioSpec", dict[str, Any]]:
+    """Load a ``kind`` checkpoint as ``(spec, state)``.
+
+    The spec is rebuilt from the header written by
+    :func:`save_checkpoint`; a checkpoint of another kind, or a header
+    the spec rejects (an unknown world field, say), raises
+    ``ValueError``.
+    """
+    # Local import: keep the codec importable without the full stack.
+    from repro.api import ScenarioSpec
+
+    header, state = load_checkpoint(path)
+    found = header.get("kind", "simulation")
+    if found != kind:
+        hint = f"; resume it via {_KINDS[found][1]}" if found in _KINDS else ""
+        raise ValueError(
+            f"{path}: checkpoint kind {found!r} is not a {_KINDS[kind][0]} "
+            f"checkpoint{hint}"
+        )
+    spec = ScenarioSpec.from_build(
+        header["build"],
+        seed=int(header["seed"]),
+        run_index=int(header["run_index"]),
+    )
+    return spec, state
+
+
+def resume_scenario(path: Path | str) -> "Scenario":
     """Rebuild the checkpointed scenario and restore its state.
 
     Returns the resumed :class:`repro.api.Scenario`; drive it onward with
     ``scenario.world.simulation.run_simulation_cycle()`` (the restored
     cycle counter tells you how far the original run got).
     """
-    # Local import: keep the codec importable without the full stack.
     from repro.api import build_scenario
 
-    header, state = load_checkpoint(path)
-    kind = header.get("kind", "simulation")
-    if kind != "simulation":
-        raise ValueError(
-            f"{path}: checkpoint kind {kind!r} is not a batch-simulation "
-            f"checkpoint; service checkpoints resume via "
-            f"repro.serve.ReputationService.from_checkpoint"
-        )
-    scenario = build_scenario(
-        seed=header["seed"], run_index=header["run_index"], **header["build"]
-    )
+    spec, state = load_scenario_checkpoint(path)
+    scenario = build_scenario(spec)
     scenario.world.simulation.resume(state)
     return scenario

@@ -18,11 +18,11 @@
   ``--metrics FILE`` appends a JSONL telemetry snapshot per watermark
   and ``--health-report FILE`` evaluates the default SLOs live;
 * ``obs``         — observability tooling: ``obs report`` validates an
-  exported trace and prints the phases/metrics/audit report (the bare
-  ``obs FILE`` spelling still works), ``obs health`` replays SLO rules
-  over a recorded telemetry series, ``obs top`` prints the per-phase
-  self/cumulative hot-path table, and ``obs export`` renders the last
-  metrics snapshot as Prometheus text exposition;
+  exported trace and prints the phases/metrics/audit report,
+  ``obs health`` replays SLO rules over a recorded telemetry series,
+  ``obs top`` prints the per-phase self/cumulative hot-path table, and
+  ``obs export`` renders the last metrics snapshot as Prometheus text
+  exposition;
 * ``trace``       — generate a synthetic Overstock trace to a JSON file;
 * ``analyze``     — run the Section-3 analyses over a saved trace file;
 * ``qa``          — the correctness tooling of :mod:`repro.qa`:
@@ -32,7 +32,9 @@
   the chaos reconvergence harness.
 
 ``list``/``run``/``simulate`` all go through the :mod:`repro.api` facade,
-so the CLI exercises the same audited path as the example scripts.
+so the CLI exercises the same audited path as the example scripts:
+``simulate`` and ``serve`` map their scenario flags onto one
+:class:`~repro.api.ScenarioSpec` and build from it.
 Wall-clock timings printed by ``run``/``simulate`` use
 :func:`time.perf_counter` — the same monotonic clock as the tracer.
 
@@ -81,6 +83,56 @@ EXIT_RUNTIME = 3
 TRACE_EXPERIMENTS = frozenset({"fig1", "fig2", "fig3", "fig4"})
 
 
+def _add_scenario_flags(
+    parser: argparse.ArgumentParser,
+    *,
+    nodes: int,
+    pretrusted: int,
+    colluders: int,
+    cycles: int,
+    cycles_help: str = "simulation cycles to run",
+) -> None:
+    """The flags :func:`_spec_from_args` maps onto a ScenarioSpec."""
+    parser.add_argument("--nodes", type=int, default=nodes)
+    parser.add_argument("--pretrusted", type=int, default=pretrusted)
+    parser.add_argument("--colluders", type=int, default=colluders)
+    parser.add_argument(
+        "--system",
+        default="EigenTrust+SocialTrust",
+        help="reputation stack, e.g. EigenTrust or eBay+SocialTrust",
+    )
+    parser.add_argument(
+        "--collusion", default="pcm", choices=["none", "pcm", "mcm", "mmm"]
+    )
+    parser.add_argument(
+        "--colluder-b",
+        type=float,
+        default=0.2,
+        help="colluders' probability of good behaviour B",
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--cycles", type=int, default=cycles, help=cycles_help)
+
+
+def _spec_from_args(args: argparse.Namespace, **world):
+    """The ScenarioSpec the scenario flags (plus ``world`` extras) name."""
+    from repro.api import ScenarioSpec
+
+    return ScenarioSpec.from_build(
+        dict(
+            system=args.system,
+            collusion=args.collusion,
+            n_nodes=args.nodes,
+            n_pretrusted=args.pretrusted,
+            n_colluders=args.colluders,
+            colluder_b=args.colluder_b,
+            simulation_cycles=args.cycles,
+            **world,
+        ),
+        seed=args.seed,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -100,25 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser(
         "simulate", help="run one ad-hoc scenario via the repro.api facade"
     )
-    sim.add_argument("--nodes", type=int, default=200)
-    sim.add_argument("--pretrusted", type=int, default=9)
-    sim.add_argument("--colluders", type=int, default=30)
-    sim.add_argument(
-        "--system",
-        default="EigenTrust+SocialTrust",
-        help="reputation stack, e.g. EigenTrust or eBay+SocialTrust",
-    )
-    sim.add_argument(
-        "--collusion", default="pcm", choices=["none", "pcm", "mcm", "mmm"]
-    )
-    sim.add_argument(
-        "--colluder-b",
-        type=float,
-        default=0.2,
-        help="colluders' probability of good behaviour B",
-    )
-    sim.add_argument("--cycles", type=int, default=25)
-    sim.add_argument("--seed", type=int, default=0)
+    _add_scenario_flags(sim, nodes=200, pretrusted=9, colluders=30, cycles=25)
     sim.add_argument(
         "--trace",
         type=Path,
@@ -175,24 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="streaming reputation service (record / stream / resume)"
     )
-    serve.add_argument("--nodes", type=int, default=100)
-    serve.add_argument("--pretrusted", type=int, default=5)
-    serve.add_argument("--colluders", type=int, default=15)
-    serve.add_argument(
-        "--system",
-        default="EigenTrust+SocialTrust",
-        help="reputation stack, e.g. EigenTrust or eBay+SocialTrust",
-    )
-    serve.add_argument(
-        "--collusion", default="pcm", choices=["none", "pcm", "mcm", "mmm"]
-    )
-    serve.add_argument("--colluder-b", type=float, default=0.2)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--cycles",
-        type=int,
-        default=6,
-        help="simulation cycles to capture with --record",
+    _add_scenario_flags(
+        serve,
+        nodes=100,
+        pretrusted=5,
+        colluders=15,
+        cycles=6,
+        cycles_help="simulation cycles to capture with --record",
     )
     serve.add_argument(
         "--record",
@@ -497,133 +520,71 @@ def _parse_byzantine(text: str) -> dict:
         ) from None
 
 
-def _drive_with_checkpoints(
-    simulation,
-    total_cycles: int,
-    args: argparse.Namespace,
-    build: dict,
-    seed: int,
-) -> None:
-    """Run ``simulation`` up to ``total_cycles``, checkpointing as asked."""
-    from repro.chaos import save_checkpoint
-
+def _simulate_flag_error(args: argparse.Namespace) -> str | None:
+    """Why the ``simulate`` flags cannot run together, if they cannot."""
     every = args.checkpoint_every
-    target = args.checkpoint if args.checkpoint is not None else args.resume
-    while simulation.cycles_run < total_cycles:
-        simulation.run_simulation_cycle()
-        if every and target is not None and simulation.cycles_run % every == 0:
-            save_checkpoint(simulation, target, build=build, seed=seed)
-            print(f"checkpoint @ cycle {simulation.cycles_run}: {target}")
-
-
-def _scenario_result(scenario):
-    from repro.api import ScenarioResult
-
-    metrics = scenario.world.simulation.metrics
-    return ScenarioResult(
-        config=scenario.config,
-        seed=scenario.seed,
-        run_index=scenario.run_index,
-        world=scenario.world,
-        metrics=metrics,
-        reputations=metrics.final_reputations(),
-        history=metrics.reputation_history(),
-        observability=scenario.world.observability,
-    )
-
-
-def _cmd_simulate_resume(args: argparse.Namespace) -> int:
-    from repro.chaos import load_checkpoint, resume_scenario
-
-    try:
-        header, _ = load_checkpoint(args.resume)
-        scenario = resume_scenario(args.resume)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot resume {args.resume}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    simulation = scenario.world.simulation
-    total = int(header["build"].get("simulation_cycles", args.cycles))
-    print(f"resumed {args.resume} at cycle {simulation.cycles_run}/{total}")
-    start = perf_counter()
-    _drive_with_checkpoints(
-        simulation, total, args, header["build"], header["seed"]
-    )
-    print(_scenario_result(scenario).summary())
-    print(f"  [{perf_counter() - start:.1f}s]")
-    return 0
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.api import run_scenario
-
-    if args.checkpoint_every and args.checkpoint is None and args.resume is None:
-        print("error: --checkpoint-every requires --checkpoint", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.resume is not None:
-        return _cmd_simulate_resume(args)
+    if every < 0:
+        return f"--checkpoint-every must be >= 1, got {every}"
+    if args.checkpoint is not None and not every:
+        return "--checkpoint requires --checkpoint-every N (N >= 1)"
+    if every and args.checkpoint is None and args.resume is None:
+        return "--checkpoint-every requires --checkpoint"
+    if args.resume is not None and args.trace is not None:
+        return (
+            "--trace cannot be combined with --resume (a resumed run could "
+            "only trace its remaining cycles)"
+        )
+    if args.resume is None and args.cycles < 1:
+        return f"--cycles must be >= 1, got {args.cycles}"
     if args.trace is not None:
         # Pre-flight the export path: a multi-minute simulation that dies
         # at the final write is the worst possible failure mode.
         parent = args.trace.resolve().parent
         if not parent.is_dir():
-            print(f"error: trace directory does not exist: {parent}", file=sys.stderr)
-            return EXIT_CONFIG
+            return f"trace directory does not exist: {parent}"
         if not os.access(parent, os.W_OK):
-            print(f"error: trace directory is not writable: {parent}", file=sys.stderr)
-            return EXIT_CONFIG
-    chaos = None
-    if args.partition or args.byzantine:
+            return f"trace directory is not writable: {parent}"
+    return None
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.api import build_scenario
+    from repro.chaos import load_scenario_checkpoint, save_checkpoint
+
+    problem = _simulate_flag_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_CONFIG
+    state = None
+    if args.resume is not None:
         try:
+            spec, state = load_scenario_checkpoint(args.resume)
+        except (OSError, ValueError, KeyError) as exc:
+            print(f"error: cannot resume {args.resume}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+    else:
+        chaos = None
+        if args.partition or args.byzantine:
             chaos = {
                 "partitions": [_parse_partition(p) for p in args.partition or ()],
                 "byzantines": [_parse_byzantine(b) for b in args.byzantine or ()],
             }
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        spec = _spec_from_args(args, n_managers=args.managers, chaos=chaos)
     start = perf_counter()
-    if chaos is not None or args.managers or args.checkpoint is not None:
-        # Chaos / checkpoint path: drive the cycles by hand so the run
-        # can be checkpointed (and later resumed) at cycle boundaries.
-        from repro.api import build_scenario
-
-        build = dict(
-            n_nodes=args.nodes,
-            n_pretrusted=args.pretrusted,
-            n_colluders=args.colluders,
-            system=args.system,
-            collusion=args.collusion,
-            colluder_b=args.colluder_b,
-            simulation_cycles=args.cycles,
-            n_managers=args.managers,
-        )
-        if chaos is not None:
-            build["chaos"] = chaos
-        try:
-            scenario = build_scenario(
-                seed=args.seed,
-                observability=args.trace is not None,
-                **build,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        _drive_with_checkpoints(
-            scenario.world.simulation, args.cycles, args, build, args.seed
-        )
-        result = _scenario_result(scenario)
-    else:
-        result = run_scenario(
-            n_nodes=args.nodes,
-            n_pretrusted=args.pretrusted,
-            n_colluders=args.colluders,
-            system=args.system,
-            collusion=args.collusion,
-            colluder_b=args.colluder_b,
-            simulation_cycles=args.cycles,
-            seed=args.seed,
-            observability=args.trace is not None,
-        )
+    scenario = build_scenario(spec, observability=args.trace is not None)
+    simulation = scenario.simulation
+    total = scenario.config.simulation_cycles
+    if state is not None:
+        simulation.resume(state)
+        print(f"resumed {args.resume} at cycle {simulation.cycles_run}/{total}")
+    every = args.checkpoint_every
+    target = args.checkpoint if args.checkpoint is not None else args.resume
+    while simulation.cycles_run < total:
+        simulation.run_simulation_cycle()
+        if every and simulation.cycles_run % every == 0:
+            save_checkpoint(simulation, target, spec)
+            print(f"checkpoint @ cycle {simulation.cycles_run}: {target}")
+    result = scenario.result()
     print(result.summary())
     print(f"  [{perf_counter() - start:.1f}s]")
     if args.trace is not None:
@@ -634,21 +595,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print()
         print(obs.report(title=f"observability report: {args.trace}"))
     return 0
-
-
-def _serve_spec_from_args(args: argparse.Namespace):
-    from repro.api import ScenarioSpec
-
-    return ScenarioSpec.from_kwargs(
-        system=args.system,
-        collusion=args.collusion,
-        seed=args.seed,
-        n_nodes=args.nodes,
-        n_pretrusted=args.pretrusted,
-        n_colluders=args.colluders,
-        colluder_b=args.colluder_b,
-        simulation_cycles=args.cycles,
-    )
 
 
 def _serve_summary(service, elapsed: float, applied: int) -> dict:
@@ -733,11 +679,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     # -- record: batch run → event stream file -------------------------------
     if args.record is not None:
-        try:
-            spec = _serve_spec_from_args(args)
-        except (ValueError, TypeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        spec = _spec_from_args(args)
         start = perf_counter()
         recorded = record_scenario_events(spec, args.cycles)
         n = write_event_stream(args.record, recorded.events, spec=recorded.spec)
@@ -791,11 +733,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.events is not None and args.events != "-" and loaded.spec is not None:
             spec = ScenarioSpec.from_dict(loaded.spec)
         else:
-            try:
-                spec = _serve_spec_from_args(args)
-            except (ValueError, TypeError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
+            spec = _spec_from_args(args)
         service = ReputationService(spec, **service_kwargs)
 
     # -- listen: line-JSON socket endpoint -----------------------------------
@@ -1210,22 +1148,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
-#: ``obs`` subcommands; anything else after ``obs`` is treated as the
-#: legacy positional trace path and routed to ``obs report``.
-_OBS_SUBCOMMANDS = ("report", "health", "top", "export")
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if (
-        len(argv) >= 2
-        and argv[0] == "obs"
-        and argv[1] not in _OBS_SUBCOMMANDS
-        and not argv[1].startswith("-")
-    ):
-        # Back-compat: ``repro obs trace.jsonl`` predates the subcommands.
-        argv.insert(1, "report")
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)

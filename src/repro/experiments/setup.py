@@ -94,6 +94,21 @@ class SystemKind(enum.Enum):
             return SystemKind.POWERTRUST
         return self
 
+    @property
+    def socialtrust(self) -> "SystemKind":
+        """The SocialTrust-wrapped variant (inverse of :attr:`base`).
+
+        TrustGuard and GossipTrust have no wrapped variant and map to
+        themselves, as do the already-wrapped stacks.
+        """
+        if self is SystemKind.EIGENTRUST:
+            return SystemKind.EIGENTRUST_SOCIALTRUST
+        if self is SystemKind.EBAY:
+            return SystemKind.EBAY_SOCIALTRUST
+        if self is SystemKind.POWERTRUST:
+            return SystemKind.POWERTRUST_SOCIALTRUST
+        return self
+
 
 class CollusionKind(enum.Enum):
     """Which attack structure the colluders mount."""

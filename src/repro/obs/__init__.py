@@ -18,12 +18,12 @@ layer publishes into:
 
 Enable it through the facade::
 
-    result = run_scenario(..., observability=True)
+    result = run_scenario(spec, observability=True)  # spec: a ScenarioSpec
     print(result.observability.report())
     result.observability.export_jsonl("trace.jsonl")
 
 or from the CLI: ``repro simulate --trace trace.jsonl`` then
-``repro obs trace.jsonl``.  ``benchmarks/test_bench_obs.py`` asserts the
+``repro obs report trace.jsonl``.  ``benchmarks/test_bench_obs.py`` asserts the
 disabled-path overhead stays ≤5% on the engine benchmark profile.
 """
 

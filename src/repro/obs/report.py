@@ -2,7 +2,7 @@
 
 :func:`render_report` works on a live :class:`~repro.obs.Observability`
 bundle (the ``repro simulate --trace`` path); :func:`render_file_report`
-re-reads an exported JSONL trace (the ``repro obs <file>`` path).  Both
+re-reads an exported JSONL trace (the ``repro obs report <file>`` path).  Both
 produce the same three sections:
 
 * **phases** — per-span-name count / total / mean / max wall-clock, so

@@ -44,9 +44,9 @@ __all__ = [
     "run_coefficient_differential",
 ]
 
-#: Base reputation stacks the runner sweeps.  The first three get their
-#: SocialTrust-wrapped variant when ``use_socialtrust`` is on; TrustGuard
-#: and GossipTrust embed their own defence and always run bare.
+#: Base reputation stacks the runner sweeps.  The first three run as
+#: their SocialTrust-wrapped variant; TrustGuard and GossipTrust embed
+#: their own defence and always run bare.
 BACKENDS: tuple[str, ...] = (
     "eigentrust",
     "ebay",
@@ -60,9 +60,6 @@ BACKENDS: tuple[str, ...] = (
 #: :func:`repro.qa.reference.install_reference_loop`.
 ENGINE_MODES: tuple[str, ...] = ("batched", "scalar")
 
-#: Backends with a SocialTrust-wrapped variant.
-_WRAPPABLE = frozenset({"eigentrust", "ebay", "powertrust"})
-
 _SUM_SLACK = 1e-9
 
 #: Tolerance for the dense-vs-sparse coefficient comparison.  The sparse
@@ -74,14 +71,38 @@ COEFFICIENT_RTOL = 1e-9
 COEFFICIENT_ATOL = 1e-12
 
 
-def _build_cell(engine: str, **kwargs: Any):
+#: The small, fast world every runner cell is built on (WorldConfig
+#: fields; callers add ``simulation_cycles`` / ``collusion`` and their
+#: own overrides).
+_SMALL_WORLD: dict[str, Any] = dict(
+    n_nodes=24,
+    n_pretrusted=2,
+    n_colluders=5,
+    n_interests=6,
+    interests_per_node=(1, 3),
+    capacity=10,
+    query_cycles=4,
+)
+
+
+def _cell_spec(backend: str, build: dict[str, Any], seed: int):
+    """The scenario of one runner cell: ``backend`` on the ``build``
+    world, SocialTrust-wrapped wherever the backend has a wrapped
+    variant."""
+    from repro.api import ScenarioSpec
+
+    spec = ScenarioSpec.from_build(dict(build, system=backend), seed=seed)
+    return spec.with_updates(system=spec.system.socialtrust)
+
+
+def _build_cell(engine: str, spec):
     """One scenario on the named query-cycle engine."""
     from repro.api import build_scenario
     from repro.qa.reference import install_reference_loop
 
     if engine not in ENGINE_MODES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINE_MODES}")
-    scenario = build_scenario(**kwargs)
+    scenario = build_scenario(spec)
     if engine == "scalar":
         install_reference_loop(scenario.world.simulation)
     return scenario
@@ -179,7 +200,6 @@ def run_differential(
     seed: int = 0,
     cycles: int = 4,
     collusion: str = "pcm",
-    use_socialtrust: bool = True,
     backends: Sequence[str] = BACKENDS,
     engines: Sequence[str] = ENGINE_MODES,
     **overrides: Any,
@@ -187,37 +207,26 @@ def run_differential(
     """Run the backend × engine grid and cross-check shared invariants.
 
     Every cell is rebuilt from scratch with the same ``seed`` so the
-    worlds are structurally identical; ``overrides`` are forwarded to
-    :func:`repro.api.build_scenario` (defaults here are a small, fast
-    world — raise ``n_nodes``/``cycles`` for a deeper sweep).
+    worlds are structurally identical; ``overrides`` are WorldConfig
+    fields merged into the cell's :class:`~repro.api.ScenarioSpec`
+    (defaults here are a small, fast world — raise ``n_nodes``/``cycles``
+    for a deeper sweep).
     """
     unknown = sorted(set(backends) - set(BACKENDS))
     if unknown:
         raise ValueError(f"unknown backend(s) {unknown}; choose from {BACKENDS}")
-    build: dict[str, Any] = dict(
-        n_nodes=24,
-        n_pretrusted=2,
-        n_colluders=5,
-        n_interests=6,
-        interests_per_node=(1, 3),
-        capacity=10,
-        query_cycles=4,
-        simulation_cycles=cycles,
-        collusion=collusion,
-    )
-    build.update(overrides)
+    build: dict[str, Any] = {
+        **_SMALL_WORLD,
+        "simulation_cycles": cycles,
+        "collusion": collusion,
+        **overrides,
+    }
     report = DifferentialReport(seed=seed, cycles=cycles)
     for backend in backends:
-        wrap = use_socialtrust and backend in _WRAPPABLE
+        spec = _cell_spec(backend, build, seed)
         per_engine: dict[str, CellResult] = {}
         for engine in engines:
-            scenario = _build_cell(
-                engine,
-                seed=seed,
-                system=backend,
-                use_socialtrust=True if wrap else None,
-                **build,
-            )
+            scenario = _build_cell(engine, spec)
             result = scenario.run(cycles)
             cell = CellResult(
                 backend=backend,
@@ -321,7 +330,6 @@ def run_coefficient_differential(
     seed: int = 0,
     cycles: int = 4,
     collusion: str = "pcm",
-    use_socialtrust: bool = True,
     backends: Sequence[str] = BACKENDS,
     engines: Sequence[str] = ENGINE_MODES,
     rtol: float = COEFFICIENT_RTOL,
@@ -342,38 +350,31 @@ def run_coefficient_differential(
     unknown = sorted(set(backends) - set(BACKENDS))
     if unknown:
         raise ValueError(f"unknown backend(s) {unknown}; choose from {BACKENDS}")
-    build: dict[str, Any] = dict(
-        n_nodes=24,
-        n_pretrusted=2,
-        n_colluders=5,
-        n_interests=6,
-        interests_per_node=(1, 3),
-        capacity=10,
-        query_cycles=4,
-        simulation_cycles=cycles,
-        collusion=collusion,
-    )
-    build.update(overrides)
+    build: dict[str, Any] = {
+        **_SMALL_WORLD,
+        "simulation_cycles": cycles,
+        "collusion": collusion,
+        **overrides,
+    }
     socialtrust_overrides = dict(build.pop("socialtrust", None) or {})
     socialtrust_overrides.pop("coefficient_backend", None)
     report = CoefficientDifferentialReport(
         seed=seed, cycles=cycles, rtol=rtol, atol=atol
     )
     for backend in backends:
-        wrap = use_socialtrust and backend in _WRAPPABLE
+        spec = _cell_spec(backend, build, seed)
+        wrap = spec.system.uses_socialtrust
         for engine in engines:
             results = {}
             for coeff in ("dense", "sparse"):
                 scenario = _build_cell(
                     engine,
-                    seed=seed,
-                    system=backend,
-                    use_socialtrust=True if wrap else None,
-                    socialtrust={
-                        **socialtrust_overrides,
-                        "coefficient_backend": coeff,
-                    },
-                    **build,
+                    spec.with_updates(
+                        socialtrust={
+                            **socialtrust_overrides,
+                            "coefficient_backend": coeff,
+                        }
+                    ),
                 )
                 results[coeff] = (scenario, scenario.run(cycles))
             (scenario_d, dense), (_, sparse_r) = results["dense"], results["sparse"]

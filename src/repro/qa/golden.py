@@ -57,10 +57,11 @@ FORMAT_VERSION = 1
 class GoldenScenario:
     """One recordable scenario: a name, build keywords, and a run length.
 
-    ``build`` holds JSON-serializable keyword arguments for
-    :func:`repro.api.build_scenario` (system/collusion as strings, sizes
-    as ints) so the scenario can be reconstructed from the trace header
-    alone — a golden file is self-describing.
+    ``build`` holds the JSON-serializable flat build mapping of a
+    :class:`repro.api.ScenarioSpec` (system/collusion as strings, sizes
+    as ints; see :meth:`~repro.api.ScenarioSpec.from_build`) so the
+    scenario can be reconstructed from the trace header alone — a golden
+    file is self-describing.
     """
 
     name: str
@@ -192,9 +193,11 @@ def record_trace(scenario: GoldenScenario) -> list[dict[str, Any]]:
     # Imported here, not at module top: repro.api imports the full
     # simulation stack, and the differ half of this module must stay
     # importable in contexts that only read/compare traces.
-    from repro.api import build_scenario
+    from repro.api import ScenarioSpec, build_scenario
 
-    built = build_scenario(seed=scenario.seed, **scenario.build)
+    built = build_scenario(
+        ScenarioSpec.from_build(scenario.build, seed=scenario.seed)
+    )
     simulation = built.world.simulation
     system = built.world.system
 

@@ -40,7 +40,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.chaos.spec import ChaosSpec
-from repro.qa.differential import _WRAPPABLE, BACKENDS
+from repro.qa.differential import BACKENDS, _SMALL_WORLD, _cell_spec
 
 __all__ = [
     "MIN_GROUP_SIZE",
@@ -205,7 +205,6 @@ def run_reconvergence(
     tolerance: float = 0.02,
     budget: int = 5,
     n_managers: int = 3,
-    use_socialtrust: bool = True,
     backends: Sequence[str] = BACKENDS,
     **overrides: Any,
 ) -> ReconvergenceReport:
@@ -214,7 +213,8 @@ def run_reconvergence(
     Each backend runs a fault-free reference and a chaos twin from the
     same seed (same world, same RNG streams — the chaos events are the
     *only* difference) for ``cycles`` simulation cycles; ``overrides``
-    are forwarded to :func:`repro.api.build_scenario`.  The default
+    are WorldConfig fields merged into each cell's
+    :class:`~repro.api.ScenarioSpec`.  The default
     ``chaos`` is one mid-run partition window plus a Byzantine window on
     every one of the ``n_managers`` managers, all healing together.
     """
@@ -248,18 +248,12 @@ def run_reconvergence(
     if unknown:
         raise ValueError(f"unknown backend(s) {unknown}; choose from {BACKENDS}")
 
-    build: dict[str, Any] = dict(
-        n_nodes=24,
-        n_pretrusted=2,
-        n_colluders=5,
-        n_interests=6,
-        interests_per_node=(1, 3),
-        capacity=10,
-        query_cycles=4,
-        simulation_cycles=cycles,
-        collusion="pcm",
-    )
-    build.update(overrides)
+    build: dict[str, Any] = {
+        **_SMALL_WORLD,
+        "simulation_cycles": cycles,
+        "collusion": "pcm",
+        **overrides,
+    }
     report = ReconvergenceReport(
         seed=seed,
         cycles=cycles,
@@ -268,27 +262,25 @@ def run_reconvergence(
         budget=budget,
     )
     for backend in backends:
-        wrap = use_socialtrust and backend in _WRAPPABLE
-        cell_spec = spec if wrap else ChaosSpec(partitions=spec.partitions)
-        if cell_spec.empty:
+        cell = _cell_spec(backend, build, seed)
+        wrap = cell.system.uses_socialtrust
+        cell_chaos = spec if wrap else ChaosSpec(partitions=spec.partitions)
+        if cell_chaos.empty:
             raise ValueError(
                 f"backend {backend!r} has no SocialTrust managers and the "
                 "spec has no partition windows; nothing applies to it"
             )
-        cell_build = dict(build)
-        if wrap and "n_managers" not in cell_build:
-            cell_build["n_managers"] = max(
-                n_managers,
-                max((b.manager_id + 1 for b in cell_spec.byzantines), default=0),
+        if wrap and "n_managers" not in build:
+            cell = cell.with_updates(
+                n_managers=max(
+                    n_managers,
+                    max((b.manager_id + 1 for b in cell_chaos.byzantines), default=0),
+                )
             )
-        common = dict(
-            seed=seed,
-            system=backend,
-            use_socialtrust=True if wrap else None,
-            **cell_build,
-        )
-        reference = build_scenario(**common).run(cycles)
-        chaotic = build_scenario(chaos=cell_spec.to_dict(), **common).run(cycles)
+        reference = build_scenario(cell).run(cycles)
+        chaotic = build_scenario(
+            cell.with_updates(chaos=cell_chaos.to_dict())
+        ).run(cycles)
         errors = _group_error_series(
             reference.history,
             chaotic.history,
@@ -298,12 +290,12 @@ def run_reconvergence(
                 reference.normal_ids,
             ),
         )
-        cell_heal = _last_heal_cycle(cell_spec, cycles)
+        cell_heal = _last_heal_cycle(cell_chaos, cycles)
         report.results.append(
             ReconvergenceResult(
                 backend=backend,
                 system_name=chaotic.world.system.name,
-                chaos=cell_spec.to_dict(),
+                chaos=cell_chaos.to_dict(),
                 heal_cycle=cell_heal,
                 error_series=tuple(float(e) for e in errors),
                 peak_error=float(errors.max()) if errors.size else 0.0,

@@ -398,14 +398,7 @@ class ReputationService:
         target = path if path is not None else self._snapshot_path
         if target is None:
             raise ValueError("no snapshot path configured or given")
-        return save_checkpoint(
-            self,
-            target,
-            build=self._spec.build_kwargs(),
-            seed=self._spec.seed,
-            run_index=self._spec.run_index,
-            kind="service",
-        )
+        return save_checkpoint(self, target, self._spec, kind="service")
 
     @classmethod
     def from_checkpoint(cls, path: Any, **kwargs: Any) -> "ReputationService":
@@ -415,20 +408,9 @@ class ReputationService:
         ``snapshot_path``, ...); the scenario spec always comes from the
         checkpoint header.
         """
-        from repro.chaos.checkpoint import load_checkpoint
+        from repro.chaos.checkpoint import load_scenario_checkpoint
 
-        header, state = load_checkpoint(path)
-        kind = header.get("kind", "simulation")
-        if kind != "service":
-            raise ValueError(
-                f"{path}: checkpoint kind {kind!r} is not a service "
-                f"checkpoint; use repro.chaos.checkpoint.resume_scenario"
-            )
-        spec = ScenarioSpec.from_build(
-            header["build"],
-            seed=int(header["seed"]),
-            run_index=int(header["run_index"]),
-        )
+        spec, state = load_scenario_checkpoint(path, kind="service")
         service = cls(spec, **kwargs)
         service.restore(state)
         return service

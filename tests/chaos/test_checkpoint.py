@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import build_scenario
+from repro.api import ScenarioSpec, build_scenario
 from repro.chaos import (
     CHECKPOINT_FORMAT_VERSION,
     decode_state,
     encode_state,
     load_checkpoint,
+    load_scenario_checkpoint,
     resume_scenario,
     save_checkpoint,
 )
@@ -31,7 +32,7 @@ BUILD = dict(
     query_cycles=3,
     simulation_cycles=6,
     collusion="pcm",
-    use_socialtrust=True,
+    system="EigenTrust+SocialTrust",
     n_managers=3,
     chaos=CHAOS,
 )
@@ -115,12 +116,13 @@ class TestSparseCodec:
 
 class TestFileFormat:
     def _checkpoint(self, tmp_path, cycles=2):
-        scenario = build_scenario(seed=3, **BUILD)
+        spec = ScenarioSpec.from_build(BUILD, seed=3)
+        scenario = build_scenario(spec)
         sim = scenario.world.simulation
         for _ in range(cycles):
             sim.run_simulation_cycle()
         path = tmp_path / "ck" / "state.jsonl"
-        save_checkpoint(sim, path, build=BUILD, seed=3)
+        save_checkpoint(sim, path, spec)
         return path
 
     def test_save_load_round_trip(self, tmp_path):
@@ -132,6 +134,14 @@ class TestFileFormat:
         assert header["build"]["chaos"] == CHAOS
         assert state["cycles_run"] == 2
         assert state["injector"] is not None
+
+    def test_header_round_trips_the_spec(self, tmp_path):
+        path = self._checkpoint(tmp_path)
+        header, _ = load_checkpoint(path)
+        spec, state = load_scenario_checkpoint(path)
+        assert spec == ScenarioSpec.from_build(BUILD, seed=3)
+        assert header["build"] == spec.build_kwargs()
+        assert state["cycles_run"] == 2
 
     def test_no_tmp_file_left_behind(self, tmp_path):
         path = self._checkpoint(tmp_path)
@@ -165,18 +175,19 @@ class TestFileFormat:
         _, state = load_checkpoint(path)
         plain = dict(BUILD)
         del plain["chaos"], plain["n_managers"]
-        bare = build_scenario(seed=3, **plain)
+        bare = build_scenario(ScenarioSpec.from_build(plain, seed=3))
         with pytest.raises(ValueError, match="injector"):
             bare.world.simulation.resume(state)
 
 
 def _kill_and_resume_trace(build, seed, total_cycles, kill_at, tmp_path):
     """Run ``kill_at`` cycles, checkpoint, resume from disk, run the rest."""
-    scenario = build_scenario(seed=seed, **build)
+    spec = ScenarioSpec.from_build(build, seed=seed)
+    scenario = build_scenario(spec)
     sim = scenario.world.simulation
     prefix = record_cycles(sim, kill_at)
     path = tmp_path / "kill.jsonl"
-    save_checkpoint(sim, path, build=build, seed=seed)
+    save_checkpoint(sim, path, spec)
     del scenario, sim  # the "crash"
     resumed = resume_scenario(path)
     resumed_sim = resumed.world.simulation
@@ -192,7 +203,9 @@ class TestKillAndResume:
     position) is exercised, not just the simulator arrays."""
 
     def test_chaos_run_bit_identical(self, tmp_path):
-        reference_sim = build_scenario(seed=3, **BUILD).world.simulation
+        reference_sim = build_scenario(
+            ScenarioSpec.from_build(BUILD, seed=3)
+        ).world.simulation
         reference = record_cycles(reference_sim, 6)
         assert reference_sim.metrics.faults.partition_blocks > 0
         assert reference_sim.metrics.faults.byzantine_corruptions > 0
@@ -205,7 +218,9 @@ class TestKillAndResume:
         # The sparse Ωc caches are CSR matrices; the checkpoint codec must
         # carry them exactly or the resumed incremental path diverges.
         build = dict(BUILD, socialtrust={"coefficient_backend": "sparse"})
-        reference_sim = build_scenario(seed=7, **build).world.simulation
+        reference_sim = build_scenario(
+            ScenarioSpec.from_build(build, seed=7)
+        ).world.simulation
         reference = record_cycles(reference_sim, 6)
 
         resumed = _kill_and_resume_trace(build, 7, 6, 2, tmp_path)
@@ -214,10 +229,12 @@ class TestKillAndResume:
 
     def test_gossip_backend_bit_identical(self, tmp_path):
         # GossipTrust keeps an internal RNG — the checkpoint must carry it.
-        build = dict(BUILD, system="gossip", use_socialtrust=None)
+        build = dict(BUILD, system="gossip")
         del build["n_managers"]
         build["chaos"] = {"partitions": CHAOS["partitions"], "byzantines": []}
-        reference_sim = build_scenario(seed=5, **build).world.simulation
+        reference_sim = build_scenario(
+            ScenarioSpec.from_build(build, seed=5)
+        ).world.simulation
         reference = record_cycles(reference_sim, 6)
 
         resumed = _kill_and_resume_trace(build, 5, 6, 3, tmp_path)

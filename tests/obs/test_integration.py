@@ -4,26 +4,28 @@ published metrics and audit events that round-trip through JSONL."""
 import numpy as np
 import pytest
 
-from repro.api import run_scenario
+from repro.api import ScenarioSpec, run_scenario
 from repro.obs import AuditEvent, Observability, read_jsonl, validate_jsonl
 
-SCENARIO = dict(
-    n_nodes=40,
-    n_pretrusted=3,
-    n_colluders=8,
-    system="EigenTrust+SocialTrust",
-    collusion="pcm",
-    simulation_cycles=3,
-    n_interests=8,
-    interests_per_node=(1, 4),
-    query_cycles=6,
+SCENARIO = ScenarioSpec.from_build(
+    dict(
+        n_nodes=40,
+        n_pretrusted=3,
+        n_colluders=8,
+        system="EigenTrust+SocialTrust",
+        collusion="pcm",
+        simulation_cycles=3,
+        n_interests=8,
+        interests_per_node=(1, 4),
+        query_cycles=6,
+    ),
     seed=1,
 )
 
 
 @pytest.fixture(scope="module")
 def traced_result():
-    return run_scenario(**SCENARIO, observability=True)
+    return run_scenario(SCENARIO, observability=True)
 
 
 class TestTracedRun:
@@ -48,7 +50,7 @@ class TestTracedRun:
 
     def test_metrics_published(self, traced_result):
         metrics = traced_result.observability.metrics
-        assert metrics["detector.intervals"].value == SCENARIO["simulation_cycles"]
+        assert metrics["detector.intervals"].value == SCENARIO.world["simulation_cycles"]
         assert metrics["detector.pairs_examined"].value > 0
         assert metrics["detector.pairs_damped"].value > 0
         assert (
@@ -107,15 +109,15 @@ class TestTracedRun:
 
 class TestEquivalence:
     def test_observed_run_is_numerically_identical(self):
-        plain = run_scenario(**SCENARIO)
-        traced = run_scenario(**SCENARIO, observability=True)
-        untraced = run_scenario(**SCENARIO, observability=Observability(tracing=False))
+        plain = run_scenario(SCENARIO)
+        traced = run_scenario(SCENARIO, observability=True)
+        untraced = run_scenario(SCENARIO, observability=Observability(tracing=False))
         assert np.array_equal(traced.history, plain.history)
         assert np.array_equal(untraced.history, plain.history)
 
     def test_tracing_disabled_still_audits_and_counts(self):
         result = run_scenario(
-            **SCENARIO, observability=Observability(tracing=False)
+            SCENARIO, observability=Observability(tracing=False)
         )
         obs = result.observability
         assert obs.tracer.events() == ()
@@ -123,4 +125,4 @@ class TestEquivalence:
         assert obs.metrics["detector.pairs_examined"].value > 0
 
     def test_no_observability_by_default(self):
-        assert run_scenario(**SCENARIO).observability is None
+        assert run_scenario(SCENARIO).observability is None

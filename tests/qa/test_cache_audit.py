@@ -3,23 +3,27 @@
 import numpy as np
 import pytest
 
-from repro.api import build_scenario
+from repro.api import ScenarioSpec, build_scenario
 from repro.qa import assert_caches_consistent, audit_caches
 
 
 @pytest.fixture(scope="module")
 def run_system():
     scenario = build_scenario(
-        seed=11,
-        system="EigenTrust+SocialTrust",
-        collusion="pcm",
-        n_nodes=24,
-        n_pretrusted=2,
-        n_colluders=5,
-        n_interests=6,
-        interests_per_node=(1, 3),
-        query_cycles=4,
-        simulation_cycles=4,
+        ScenarioSpec.from_build(
+            dict(
+                system="EigenTrust+SocialTrust",
+                collusion="pcm",
+                n_nodes=24,
+                n_pretrusted=2,
+                n_colluders=5,
+                n_interests=6,
+                interests_per_node=(1, 3),
+                query_cycles=4,
+                simulation_cycles=4,
+            ),
+            seed=11,
+        )
     )
     scenario.run(4)
     return scenario.world.system
@@ -85,20 +89,24 @@ class TestChurnHeavyDrift:
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_drift_bounded_over_200_churn_steps(self, backend):
         scenario = build_scenario(
-            seed=29,
-            system="EigenTrust+SocialTrust",
-            collusion="pcm",
-            n_nodes=16,
-            n_pretrusted=2,
-            n_colluders=3,
-            n_interests=5,
-            interests_per_node=(1, 3),
-            query_cycles=2,
-            simulation_cycles=2,
-            socialtrust={
-                "coefficient_backend": backend,
-                "cache_rebuild_interval": 8,
-            },
+            ScenarioSpec.from_build(
+                dict(
+                    system="EigenTrust+SocialTrust",
+                    collusion="pcm",
+                    n_nodes=16,
+                    n_pretrusted=2,
+                    n_colluders=3,
+                    n_interests=5,
+                    interests_per_node=(1, 3),
+                    query_cycles=2,
+                    simulation_cycles=2,
+                    socialtrust={
+                        "coefficient_backend": backend,
+                        "cache_rebuild_interval": 8,
+                    },
+                ),
+                seed=29,
+            )
         )
         scenario.run(2)
         system = scenario.world.system
@@ -129,13 +137,17 @@ def test_audit_works_on_distributed_socialtrust():
 
 def test_fresh_system_has_consistent_caches():
     scenario = build_scenario(
-        seed=0,
-        system="EigenTrust+SocialTrust",
-        n_nodes=12,
-        n_pretrusted=1,
-        n_colluders=2,
-        n_interests=4,
-        interests_per_node=(1, 3),
+        ScenarioSpec.from_build(
+            dict(
+                system="EigenTrust+SocialTrust",
+                n_nodes=12,
+                n_pretrusted=1,
+                n_colluders=2,
+                n_interests=4,
+                interests_per_node=(1, 3),
+            ),
+            seed=0,
+        )
     )
     report = audit_caches(scenario.world.system)
     assert report.ok

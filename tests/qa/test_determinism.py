@@ -4,7 +4,7 @@ engine and the scalar reference loop, for every collusion model."""
 import numpy as np
 import pytest
 
-from repro.api import build_scenario
+from repro.api import ScenarioSpec, build_scenario
 from repro.qa.reference import install_reference_loop
 
 SMALL = dict(
@@ -23,10 +23,10 @@ COLLUSIONS = ["none", "pcm", "mcm", "mmm"]
 
 def _run(collusion: str, engine: str, seed: int = 17):
     scenario = build_scenario(
-        seed=seed,
-        system="EigenTrust+SocialTrust",
-        collusion=collusion,
-        **SMALL,
+        ScenarioSpec.from_build(
+            dict(SMALL, system="EigenTrust+SocialTrust", collusion=collusion),
+            seed=seed,
+        )
     )
     if engine == "scalar":
         install_reference_loop(scenario.world.simulation)

@@ -99,12 +99,7 @@ class TestCheckpointRouting:
         spec = small_spec()
         scenario = build_scenario(spec)
         scenario.world.simulation.run_simulation_cycle()
-        path = save_checkpoint(
-            scenario.world.simulation,
-            tmp_path / "sim.ckpt",
-            build=spec.build_kwargs(),
-            seed=spec.seed,
-        )
+        path = save_checkpoint(scenario.world.simulation, tmp_path / "sim.ckpt", spec)
         with pytest.raises(ValueError, match="not a service checkpoint"):
             ReputationService.from_checkpoint(path)
 

@@ -71,8 +71,6 @@ PUBLIC_API = {
         "RngStream",
         "spawn_rng",
         "check_probability",
-        "deprecated_alias",
-        "deprecated_param",
     ],
     "repro.social": [
         "SocialGraph",
@@ -217,7 +215,7 @@ def test_all_audit_importable_and_documented(module_name):
             assert obj.__doc__, f"{module_name}.{name} lacks a docstring"
 
 
-def test_api_version_is_3():
+def test_api_version_is_4():
     import repro
 
-    assert repro.API_VERSION == "3.0"
+    assert repro.API_VERSION == "4.0"

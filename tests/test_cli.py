@@ -93,7 +93,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert trace.exists()
         assert "== detector audit ==" in out
-        assert main(["obs", str(trace)]) == 0
+        assert main(["obs", "report", str(trace)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("validated ")
         assert "== phases ==" in out

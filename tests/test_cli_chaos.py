@@ -44,6 +44,16 @@ class TestParser:
         assert args.byzantine == ["1:2:4"]
         assert args.checkpoint_every == 2
 
+    def test_scenario_flags_keep_per_command_defaults(self):
+        parser = build_parser()
+        sim = parser.parse_args(["simulate"])
+        serve = parser.parse_args(["serve"])
+        assert (sim.nodes, sim.pretrusted, sim.colluders, sim.cycles) == (200, 9, 30, 25)
+        assert (serve.nodes, serve.pretrusted, serve.colluders, serve.cycles) == (100, 5, 15, 6)
+        for args in (sim, serve):
+            assert (args.system, args.collusion) == ("EigenTrust+SocialTrust", "pcm")
+            assert (args.colluder_b, args.seed) == (0.2, 0)
+
     def test_reconverge_defaults(self):
         args = build_parser().parse_args(["qa", "reconverge"])
         assert args.cycles == 12
@@ -68,6 +78,35 @@ class TestSimulateChaosErrors:
     def test_checkpoint_every_requires_target(self, capsys):
         assert main(["simulate", *SMALL_WORLD, "--checkpoint-every", "2"]) == EXIT_CONFIG
         assert "--checkpoint-every requires" in capsys.readouterr().err
+
+    def test_checkpoint_requires_every(self, tmp_path, capsys):
+        # A checkpoint target with no interval would never be written.
+        ck = tmp_path / "ck.jsonl"
+        assert main(["simulate", *SMALL_WORLD, "--checkpoint", str(ck)]) == EXIT_CONFIG
+        assert "error: --checkpoint requires --checkpoint-every" in capsys.readouterr().err
+        assert not ck.exists()
+
+    @pytest.mark.parametrize("every", ["0", "-1"])
+    def test_checkpoint_every_must_be_positive(self, tmp_path, capsys, every):
+        # N < 1 names no checkpoint cycle (and -1 divides every cycle).
+        ck = tmp_path / "ck.jsonl"
+        argv = ["simulate", *SMALL_WORLD, "--checkpoint", str(ck), "--checkpoint-every", every]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not ck.exists()
+
+    def test_resume_refuses_trace(self, tmp_path, capsys):
+        # A resumed run could only trace its remaining cycles.
+        ck = tmp_path / "ck.jsonl"
+        argv = ["simulate", *SMALL_WORLD, "--checkpoint", str(ck), "--checkpoint-every", "2"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        trace = tmp_path / "t.jsonl"
+        assert main(["simulate", "--resume", str(ck), "--trace", str(trace)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "error: --trace cannot be combined with --resume" in captured.err
+        assert "resumed" not in captured.out
+        assert not trace.exists()
 
     def test_resume_checkpoint_with_engine_field(self, tmp_path, capsys):
         """Checkpoints written before the engine knob was removed carry

@@ -31,17 +31,17 @@ class TestObsErrors:
     def test_malformed_jsonl(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n")
-        assert main(["obs", str(path)]) == EXIT_CONFIG
+        assert main(["obs", "report", str(path)]) == EXIT_CONFIG
         assert "error: invalid trace" in capsys.readouterr().err
 
     def test_truncated_json_line(self, tmp_path, capsys):
         path = tmp_path / "cut.jsonl"
         path.write_text('{"kind": "span", "name": "x"\n')
-        assert main(["obs", str(path)]) == EXIT_CONFIG
+        assert main(["obs", "report", str(path)]) == EXIT_CONFIG
         assert "error: invalid trace" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
-        assert main(["obs", str(tmp_path / "absent.jsonl")]) == EXIT_CONFIG
+        assert main(["obs", "report", str(tmp_path / "absent.jsonl")]) == EXIT_CONFIG
         assert "error: cannot read" in capsys.readouterr().err
 
 

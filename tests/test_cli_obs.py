@@ -187,10 +187,13 @@ class TestObsTopAndExport:
 
 
 class TestLegacyObsSpelling:
-    def test_bare_obs_path_routes_to_report(self, telemetry_series, capsys):
+    def test_bare_obs_path_exits_2(self, telemetry_series, capsys):
+        # The subcommand is required: a bare path is not a report request.
         metrics, _ = telemetry_series
-        assert main(["obs", str(metrics)]) == EXIT_OK
-        assert capsys.readouterr().out.startswith("validated ")
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", str(metrics)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_obs_without_arguments_exits_2(self):
         with pytest.raises(SystemExit) as exc:

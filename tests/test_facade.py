@@ -1,10 +1,14 @@
 """Tests for the ``repro.api`` facade.
 
-The facade promises two things: (1) one keyword-driven call assembles the
+The facade promises three things: (1) one spec-driven call assembles the
 exact world that manual ``build_world`` wiring produces — same RNG stream,
-so runs are bit-identical — and (2) the convenience accessors on
-:class:`ScenarioResult` agree with the raw metrics they summarise.
+so runs are bit-identical — (2) the convenience accessors on
+:class:`ScenarioResult` agree with the raw metrics they summarise, and
+(3) a :class:`ScenarioSpec` is hashable and equal to its own JSON round
+trip.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ import repro
 from repro.api import (
     Scenario,
     ScenarioResult,
+    ScenarioSpec,
     build_scenario,
     list_experiments,
     run_experiment,
@@ -31,6 +36,10 @@ SMALL = dict(
 )
 
 
+def spec(seed=0, **build):
+    return ScenarioSpec.from_build(dict(SMALL, **build), seed=seed)
+
+
 class TestBuildScenario:
     def test_matches_manual_build_world_bit_for_bit(self):
         manual = build_world(
@@ -43,41 +52,65 @@ class TestBuildScenario:
         )
         manual_history = manual.simulation.run().reputation_history()
         result = run_scenario(
-            collusion="pcm", system="EigenTrust+SocialTrust", seed=3, **SMALL
+            spec(collusion="pcm", system="EigenTrust+SocialTrust", seed=3)
         )
         assert np.array_equal(result.history, manual_history)
 
     def test_string_enums_resolve(self):
-        scenario = build_scenario(
-            system="eigentrust", collusion="PCM", **SMALL
-        )
+        scenario = build_scenario(spec(system="eigentrust", collusion="PCM"))
         assert scenario.config.system is SystemKind.EIGENTRUST
         assert scenario.config.collusion is CollusionKind.PCM
 
     def test_use_socialtrust_upgrades_and_downgrades(self):
-        up = build_scenario(system="eBay", use_socialtrust=True, **SMALL)
+        # SystemKind maps each base stack to its SocialTrust variant and back.
+        up = build_scenario(spec(system=SystemKind.EBAY.socialtrust))
         assert up.config.system is SystemKind.EBAY_SOCIALTRUST
         down = build_scenario(
-            system="PowerTrust+SocialTrust", use_socialtrust=False, **SMALL
+            spec(system=SystemKind.POWERTRUST_SOCIALTRUST.base)
         )
         assert down.config.system is SystemKind.POWERTRUST
+        assert SystemKind.TRUSTGUARD.socialtrust is SystemKind.TRUSTGUARD
+        assert (
+            SystemKind.EIGENTRUST_SOCIALTRUST.socialtrust
+            is SystemKind.EIGENTRUST_SOCIALTRUST
+        )
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError, match="unknown reputation system"):
-            build_scenario(system="PageRank", **SMALL)
+            build_scenario(spec(system="PageRank"))
 
     def test_unknown_keyword_rejected(self):
-        with pytest.raises(TypeError, match="unknown keyword"):
+        # The scenario keyword bag is gone: only a ScenarioSpec gets in.
+        with pytest.raises(TypeError, match=r"ScenarioSpec\.from_build"):
             build_scenario(n_peers=10)
+        with pytest.raises(TypeError, match=r"ScenarioSpec\.from_build"):
+            build_scenario(**SMALL)
+        with pytest.raises(TypeError, match=r"ScenarioSpec\.from_build"):
+            run_scenario(spec(), simulation_cycles=3)
+        with pytest.raises(TypeError, match=r"ScenarioSpec\.from_build"):
+            run_scenario(dict(SMALL))
+        with pytest.raises(ValueError, match="n_peers"):
+            ScenarioSpec.from_build({"n_peers": 10})
 
     def test_engine_keyword_rejected(self):
         # The batched engine is the only query-cycle engine; the scalar
         # reference loop lives in repro.qa.reference.
         with pytest.raises(TypeError, match="engine"):
-            build_scenario(engine="scalar", **SMALL)
+            build_scenario(spec(), engine="scalar")
+        with pytest.raises(ValueError, match="engine"):
+            spec(engine="scalar")
+
+    def test_result_after_manual_cycles_matches_run(self):
+        driven = build_scenario(spec(collusion="pcm", seed=5))
+        for _ in range(SMALL["simulation_cycles"]):
+            driven.simulation.run_simulation_cycle()
+        by_hand = driven.result()
+        ran = run_scenario(spec(collusion="pcm", seed=5))
+        assert np.array_equal(by_hand.history, ran.history)
+        assert by_hand.summary() == ran.summary()
 
     def test_scenario_exposes_world_parts(self):
-        scenario = build_scenario(**SMALL)
+        scenario = build_scenario(spec())
         assert isinstance(scenario, Scenario)
         assert scenario.simulation is scenario.world.simulation
         assert scenario.world.config is scenario.config
@@ -86,7 +119,7 @@ class TestBuildScenario:
 class TestScenarioResult:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_scenario(collusion="pcm", seed=1, **SMALL)
+        return run_scenario(spec(collusion="pcm", seed=1))
 
     def test_reputations_match_metrics(self, result):
         assert isinstance(result, ScenarioResult)
@@ -114,6 +147,40 @@ class TestScenarioResult:
         assert "collusion=pcm" in text
         assert "seed=1" in text
         assert "colluder mean reputation" in text
+
+
+class TestScenarioSpecContract:
+    """A spec equals and hashes like its own JSON round trip."""
+
+    @pytest.mark.parametrize(
+        "world",
+        [
+            {"interests_per_node": (1, 3)},
+            {"socialtrust": {"coefficient_backend": "sparse"}},
+            {
+                "n_managers": 3,
+                "chaos": {
+                    "partitions": [{"start_cycle": 1, "heal_cycle": 3}],
+                    "byzantines": [
+                        {"manager_id": 1, "start_cycle": 2, "heal_cycle": 4}
+                    ],
+                },
+            },
+        ],
+        ids=["tuple", "socialtrust-dict", "chaos-dict"],
+    )
+    def test_json_round_trip_is_equal_and_hashable(self, world):
+        original = ScenarioSpec(
+            system="EigenTrust+SocialTrust", collusion="pcm", seed=4, world=world
+        )
+        restored = ScenarioSpec.from_dict(json.loads(json.dumps(original.to_dict())))
+        assert restored == original
+        assert hash(restored) == hash(original)
+        assert len({original, restored}) == 1
+
+    def test_different_specs_differ(self):
+        assert spec(seed=1) != spec(seed=2)
+        assert spec(n_nodes=30) != spec()
 
 
 class TestRegistryPassthrough:
