@@ -42,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import os
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 from typing import Any, Mapping
@@ -79,8 +80,44 @@ __all__ = [
 #: ``engine`` world field and its enum from ``repro.p2p``: the batched
 #: query-cycle engine is the only production engine.  4.0 made the spec
 #: the only input of :func:`build_scenario` / :func:`run_scenario`: the
-#: scenario keyword bag and its deprecated aliases are gone.
-API_VERSION = "4.0"
+#: scenario keyword bag and its deprecated aliases are gone.  5.0 removed
+#: the sparse coefficient core together with the three ``socialtrust``
+#: keys that chose and tuned it (core, top-k truncation, rebuild interval).
+API_VERSION = "5.0"
+
+#: Memory model of a built world: an interpreter-and-libraries floor plus
+#: the bytes per node pair held by its ``n x n`` state (interaction
+#: ledger, Ωc/Ωs caches and terms, detector masks, interval aggregates).
+#: It estimates 354 MiB at n = 1000 and 1178 MiB at n = 2000; a 5-cycle
+#: EigenTrust+SocialTrust PCM run peaks at 339 and 1165 MiB.
+_STATE_FLOOR_BYTES = 79 * 2**20
+_STATE_BYTES_PER_PAIR = 288
+
+
+def _estimate_state_bytes(n_nodes: int) -> int:
+    """Estimated peak memory, in bytes, of a world with ``n_nodes`` nodes."""
+    return _STATE_FLOOR_BYTES + _STATE_BYTES_PER_PAIR * n_nodes * n_nodes
+
+
+def _physical_memory_bytes() -> int | None:
+    """Physical memory of this machine (``None`` where it cannot be read)."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _check_memory(n_nodes: int) -> None:
+    """Refuse a world whose estimated state exceeds physical memory, before
+    anything of it is allocated."""
+    need = _estimate_state_bytes(n_nodes)
+    limit = _physical_memory_bytes()
+    if limit is not None and need > limit:
+        raise ValueError(
+            f"n_nodes={n_nodes} needs an estimated {need / 2**20:,.0f} MiB "
+            f"of n x n state, more than the {limit / 2**20:,.0f} MiB of "
+            f"physical memory"
+        )
 
 
 def _canon(label: str) -> str:
@@ -441,8 +478,10 @@ def build_scenario(
     log; the bundle comes back on :attr:`Scenario.observability` /
     :attr:`ScenarioResult.observability`.  The spec's ``(seed,
     run_index)`` key the RNG streams exactly as
-    :func:`~repro.experiments.setup.build_world` does.  Any other
-    argument raises :class:`TypeError`.
+    :func:`~repro.experiments.setup.build_world` does.  A world whose
+    estimated ``n x n`` state exceeds physical memory raises
+    :class:`ValueError` before anything is built.  Any other argument
+    raises :class:`TypeError`.
     """
     _require_spec("build_scenario", spec, unexpected)
     if observability is True:
@@ -454,6 +493,7 @@ def build_scenario(
     config = WorldConfig(
         system=spec.system, collusion=spec.collusion, **spec.world
     )
+    _check_memory(config.n_nodes)
     world = build_world(
         config, seed=spec.seed, run_index=spec.run_index, observability=obs
     )

@@ -13,6 +13,7 @@ from repro.chaos.checkpoint import (
     encode_state,
     load_checkpoint,
     load_scenario_checkpoint,
+    restore_checkpoint_state,
     resume_scenario,
     save_checkpoint,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "encode_state",
     "load_checkpoint",
     "load_scenario_checkpoint",
+    "restore_checkpoint_state",
     "resume_scenario",
     "save_checkpoint",
 ]

@@ -27,10 +27,9 @@ import base64
 import json
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
-from scipy import sparse
 
 if TYPE_CHECKING:
     from repro.api import Scenario, ScenarioSpec
@@ -42,6 +41,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "load_scenario_checkpoint",
+    "restore_checkpoint_state",
     "resume_scenario",
 ]
 
@@ -53,23 +53,10 @@ def encode_state(value: Any) -> Any:
     """Recursively encode a state payload into JSON-safe data.
 
     ndarrays become ``{"__ndarray__": b64, "dtype": ..., "shape": ...}``
-    over the raw (C-contiguous, little-endian) bytes, SciPy sparse
-    matrices become ``{"__csr__": ...}`` over their CSR constituent
-    arrays (data/indices/indptr — exact, the sparse Ωc caches must
-    resume bit-identically just like the dense ones), numpy scalars
+    over the raw (C-contiguous, little-endian) bytes, numpy scalars
     become Python scalars, and non-finite floats are tagged the same way
     the golden traces tag them.
     """
-    if sparse.issparse(value):
-        mat = value.tocsr()
-        return {
-            "__csr__": {
-                "data": encode_state(np.asarray(mat.data)),
-                "indices": encode_state(np.asarray(mat.indices)),
-                "indptr": encode_state(np.asarray(mat.indptr)),
-            },
-            "shape": list(mat.shape),
-        }
     if isinstance(value, np.ndarray):
         # ascontiguousarray promotes 0-d to 1-d, so keep the true shape.
         contiguous = np.ascontiguousarray(value)
@@ -95,16 +82,6 @@ def encode_state(value: Any) -> Any:
 def decode_state(value: Any) -> Any:
     """Inverse of :func:`encode_state`."""
     if isinstance(value, dict):
-        if set(value) == {"__csr__", "shape"}:
-            parts = value["__csr__"]
-            return sparse.csr_matrix(
-                (
-                    decode_state(parts["data"]),
-                    decode_state(parts["indices"]),
-                    decode_state(parts["indptr"]),
-                ),
-                shape=tuple(value["shape"]),
-            )
         if set(value) == {"__ndarray__", "dtype", "shape"}:
             raw = base64.b64decode(value["__ndarray__"])
             arr = np.frombuffer(raw, dtype=np.dtype(value["dtype"]))
@@ -219,6 +196,28 @@ def load_scenario_checkpoint(
     return spec, state
 
 
+def restore_checkpoint_state(
+    restore: Callable[[dict[str, Any]], None],
+    state: dict[str, Any],
+    path: Path | str,
+) -> None:
+    """Apply the ``state`` loaded from ``path`` through ``restore``.
+
+    ``restore`` is the ``resume``/``restore`` method of the object built
+    from the checkpoint's header.  State written by a different scenario
+    (another system, a manager count the header does not name) lacks keys
+    that object reads; that surfaces as a ``ValueError`` naming the
+    missing key instead of a bare ``KeyError``.
+    """
+    try:
+        restore(state)
+    except KeyError as exc:
+        raise ValueError(
+            f"{path}: checkpoint state does not match its header "
+            f"(state key {exc} is missing)"
+        ) from None
+
+
 def resume_scenario(path: Path | str) -> "Scenario":
     """Rebuild the checkpointed scenario and restore its state.
 
@@ -230,5 +229,5 @@ def resume_scenario(path: Path | str) -> "Scenario":
 
     spec, state = load_scenario_checkpoint(path)
     scenario = build_scenario(spec)
-    scenario.world.simulation.resume(state)
+    restore_checkpoint_state(scenario.world.simulation.resume, state, path)
     return scenario

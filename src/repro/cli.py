@@ -432,12 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument(
         "--collusion", default="pcm", choices=["none", "pcm", "mcm", "mmm"]
     )
-    diff.add_argument(
-        "--sparse",
-        action="store_true",
-        help="also compare the dense and sparse coefficient backends "
-        "(tolerance mode) across every cell",
-    )
 
     reconv = qa_sub.add_parser(
         "reconverge",
@@ -549,7 +543,11 @@ def _simulate_flag_error(args: argparse.Namespace) -> str | None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.api import build_scenario
-    from repro.chaos import load_scenario_checkpoint, save_checkpoint
+    from repro.chaos import (
+        load_scenario_checkpoint,
+        restore_checkpoint_state,
+        save_checkpoint,
+    )
 
     problem = _simulate_flag_error(args)
     if problem is not None:
@@ -575,7 +573,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     simulation = scenario.simulation
     total = scenario.config.simulation_cycles
     if state is not None:
-        simulation.resume(state)
+        restore_checkpoint_state(simulation.resume, state, args.resume)
         print(f"resumed {args.resume} at cycle {simulation.cycles_run}/{total}")
     every = args.checkpoint_every
     target = args.checkpoint if args.checkpoint is not None else args.resume
@@ -1091,16 +1089,7 @@ def _cmd_qa(args: argparse.Namespace) -> int:
             seed=args.seed, cycles=args.cycles, collusion=args.collusion
         )
         print(report.summary())
-        ok = report.ok
-        if args.sparse:
-            from repro.qa import run_coefficient_differential
-
-            coeff_report = run_coefficient_differential(
-                seed=args.seed, cycles=args.cycles, collusion=args.collusion
-            )
-            print(coeff_report.summary())
-            ok = ok and coeff_report.ok
-        return EXIT_OK if ok else EXIT_FAILURE
+        return EXIT_OK if report.ok else EXIT_FAILURE
 
     if args.qa_command == "reconverge":
         import json

@@ -18,7 +18,7 @@ protocol of Section 4.3 and is verified to produce identical adjustments.
 """
 
 from repro.core.closeness import ClosenessComputer
-from repro.core.config import CoefficientBackend, GaussianCenter, SocialTrustConfig
+from repro.core.config import GaussianCenter, SocialTrustConfig
 from repro.core.detector import (
     CollusionDetector,
     Finding,
@@ -28,11 +28,9 @@ from repro.core.gaussian import RaterBand, combined_weight, gaussian_weight
 from repro.core.manager import DistributedSocialTrust, ResourceManager
 from repro.core.similarity import SimilarityComputer, overlap_similarity
 from repro.core.socialtrust import SocialTrust
-from repro.core.sparse import SparseClosenessComputer, SparseSimilarityComputer
 
 __all__ = [
     "ClosenessComputer",
-    "CoefficientBackend",
     "GaussianCenter",
     "SocialTrustConfig",
     "CollusionDetector",
@@ -44,8 +42,6 @@ __all__ = [
     "DistributedSocialTrust",
     "ResourceManager",
     "SimilarityComputer",
-    "SparseClosenessComputer",
-    "SparseSimilarityComputer",
     "overlap_similarity",
     "SocialTrust",
 ]

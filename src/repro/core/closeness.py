@@ -44,10 +44,10 @@ rebuild, which is both faster than the correction and bit-identical to the
 seed path.  The low-rank correction is exact in exact arithmetic but not
 bitwise, so its float drift would grow without bound across long
 churn-heavy runs; an update counter forces an exact rebuild after every
-``SocialTrustConfig.cache_rebuild_interval`` consecutive corrections,
-which pins the worst-case drift to what ``cache_rebuild_interval``
-applications can accumulate (the ``cache_audit`` regression test asserts
-that bound over thousands of updates).  :meth:`ClosenessComputer.rater_band` and
+:data:`CACHE_REBUILD_INTERVAL` consecutive corrections, which pins the
+worst-case drift to what that many applications can accumulate (the
+``cache_audit`` regression test asserts that bound over thousands of
+updates).  :meth:`ClosenessComputer.rater_band` and
 :meth:`ClosenessComputer.global_band` read from the cached matrix, so they
 can never diverge from :meth:`ClosenessComputer.closeness_matrix` after
 ``decay_nodes`` the way the per-pair scalar walk silently could.
@@ -62,7 +62,12 @@ from repro.core.gaussian import RaterBand
 from repro.social.graph import SocialView, relationship_factor
 from repro.social.interactions import InteractionLedger
 
-__all__ = ["ClosenessComputer"]
+__all__ = ["CACHE_REBUILD_INTERVAL", "ClosenessComputer"]
+
+#: Consecutive low-rank ``T2`` corrections after which the next evaluation
+#: rebuilds the closeness terms exactly, bounding the correction's float
+#: drift over arbitrarily long churn-heavy runs.
+CACHE_REBUILD_INTERVAL = 64
 
 
 class ClosenessComputer:
@@ -93,11 +98,8 @@ class ClosenessComputer:
         self._cached_t1: np.ndarray | None = None
         self._cached_t2: np.ndarray | None = None
         self._cached_version = -1
-        # Consecutive low-rank T2 corrections since the last exact rebuild.
-        # The correction is exact in exact arithmetic but accumulates float
-        # drift; after ``config.cache_rebuild_interval`` applications the
-        # next evaluation rebuilds T2 (and T1/A) from scratch so the drift
-        # stays bounded over arbitrarily long churn-heavy runs.
+        # Consecutive low-rank T2 corrections since the last exact rebuild
+        # (capped at CACHE_REBUILD_INTERVAL).
         self._t2_updates = 0
 
     @property
@@ -323,7 +325,7 @@ class ClosenessComputer:
         if (
             dirty is None
             or dirty.size > self.n_nodes // 2
-            or self._t2_updates >= self._config.cache_rebuild_interval
+            or self._t2_updates >= CACHE_REBUILD_INTERVAL
         ):
             adj_close = factors * shares * adjacency
             self._cached_adj_close = adj_close
@@ -346,8 +348,8 @@ class ClosenessComputer:
         return out
 
     def pair_values(self, raters, ratees) -> np.ndarray:
-        """``Ωc`` over pair arrays — same gather API as the sparse backend
-        (reads from the cached matrix)."""
+        """``Ωc`` over pair arrays (reads from the cached matrix) — the
+        detector's gather."""
         matrix = self.closeness_matrix()
         i = np.asarray(raters, dtype=np.int64)
         j = np.asarray(ratees, dtype=np.int64)

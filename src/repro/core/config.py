@@ -20,7 +20,8 @@ choice the paper mentions is an explicit, ablatable knob:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any, Mapping
 
 from repro.utils.validation import (
     check_fraction,
@@ -29,29 +30,10 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "CoefficientBackend",
     "CommonFriendAggregate",
     "GaussianCenter",
     "SocialTrustConfig",
 ]
-
-
-class CoefficientBackend(enum.Enum):
-    """Numerical backend for the Ωc/Ωs coefficient computations.
-
-    DENSE is the seed path: all-pairs ``n x n`` NumPy matrices, bit-stable
-    against the checked-in goldens, practical up to a few thousand nodes.
-    SPARSE rebuilds the same quantities on SciPy CSR structures, which is
-    what pushes the detector interval from ``n ~ 10^3`` to ``10^5``; it
-    agrees with DENSE within floating-point tolerance (summation order
-    differs), and optionally truncates each node's coefficient
-    neighbourhood to its top-k entries (see
-    :attr:`SocialTrustConfig.sparse_top_k`).  Both cores feed the same
-    detector pass, which scores only the frequency-flagged pair set.
-    """
-
-    DENSE = "dense"
-    SPARSE = "sparse"
 
 
 class CommonFriendAggregate(enum.Enum):
@@ -156,24 +138,6 @@ class SocialTrustConfig:
     #: Lower bound on the Gaussian spread ``c`` to avoid division by zero
     #: when a band has max == min.
     spread_floor: float = 1e-3
-    #: Numerical backend for the coefficient computations (see
-    #: :class:`CoefficientBackend`); accepts the enum or its string value.
-    coefficient_backend: CoefficientBackend = CoefficientBackend.DENSE
-    #: Sparse backend only: keep at most this many Ωc entries per node
-    #: (the strongest ones) when materialising the coefficient matrix.
-    #: Truncated pairs read as coefficient 0 — they sit below ``T_cl`` /
-    #: ``T_sl`` anyway, so they contribute nothing to a rater's band or to
-    #: the Gaussian damping and are simply never materialised.  ``None``
-    #: (default) disables truncation: the sparse path is then exact up to
-    #: float summation order.
-    sparse_top_k: int | None = None
-    #: Force an exact from-scratch rebuild of the incrementally-maintained
-    #: Ωc ``T2`` term after this many consecutive low-rank corrections.
-    #: The correction is mathematically exact but accumulates float drift
-    #: (it is "exact but not bitwise"), so churn-heavy runs that stay on
-    #: the incremental path for thousands of updates would otherwise let
-    #: the drift grow without bound.
-    cache_rebuild_interval: int = 64
 
     def __post_init__(self) -> None:
         # String spellings keep the config JSON-round-trippable (golden /
@@ -181,7 +145,6 @@ class SocialTrustConfig:
         for name, enum_type in (
             ("common_friend_aggregate", CommonFriendAggregate),
             ("center", GaussianCenter),
-            ("coefficient_backend", CoefficientBackend),
         ):
             value = getattr(self, name)
             if not isinstance(value, enum_type):
@@ -227,15 +190,6 @@ class SocialTrustConfig:
         check_probability("neutral_damping", self.neutral_damping)
         check_fraction("spread_floor", self.spread_floor)
         check_fraction("recidivism_decay", self.recidivism_decay)
-        if self.sparse_top_k is not None and self.sparse_top_k < 1:
-            raise ValueError(
-                f"sparse_top_k must be >= 1 or None, got {self.sparse_top_k}"
-            )
-        if self.cache_rebuild_interval < 1:
-            raise ValueError(
-                "cache_rebuild_interval must be >= 1, got "
-                f"{self.cache_rebuild_interval}"
-            )
         if not (self.use_closeness or self.use_similarity):
             raise ValueError(
                 "at least one of use_closeness / use_similarity must be enabled"
@@ -243,11 +197,21 @@ class SocialTrustConfig:
 
     def to_dict(self) -> dict:
         """JSON-friendly dict (enums as their string values); the inverse
-        of ``SocialTrustConfig(**d)``, used by golden/checkpoint headers."""
-        from dataclasses import fields as dc_fields
-
+        of :meth:`from_dict`, used by golden/checkpoint headers."""
         out = {}
-        for f in dc_fields(self):
+        for f in fields(self):
             value = getattr(self, f.name)
             out[f.name] = value.value if isinstance(value, enum.Enum) else value
         return out
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "SocialTrustConfig":
+        """Config from its dict form (a spec's or a header's
+        ``socialtrust``); a key that names no field, such as one removed
+        from the config, raises ``ValueError`` naming it."""
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(
+                f"socialtrust got unknown SocialTrustConfig field(s) {unknown}"
+            )
+        return cls(**data)

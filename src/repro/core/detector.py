@@ -26,12 +26,10 @@ Per reputation-update interval the detector:
 Only the frequency-flagged pairs are scored.  Their coefficients, the
 interval's active transaction pairs (for the derived band thresholds and
 the global band) and the flagged raters' rated neighbourhoods (for the
-per-rater bands) are gathered through the coefficient core's
-``pair_values`` lookup, so the same pass serves the dense and the sparse
-core.  Inputs may be dense arrays or SciPy sparse matrices; no ``n x n``
-array is built unless a caller reads :attr:`DetectionResult.weights`.
-The all-pairs formulation is kept in :mod:`repro.qa.reference` as the
-test oracle.
+per-rater bands) are gathered from the cached Ωc/Ωs matrices through
+``pair_values``; no further ``n x n`` array is built unless a caller
+reads :attr:`DetectionResult.weights`.  The all-pairs formulation is kept
+in :mod:`repro.qa.reference` as the test oracle.
 """
 
 from __future__ import annotations
@@ -41,16 +39,10 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.closeness import ClosenessComputer
 from repro.core.config import GaussianCenter, SocialTrustConfig
 from repro.core.similarity import SimilarityComputer
-from repro.core.sparse import (
-    SparseClosenessComputer,
-    SparseSimilarityComputer,
-    _row_major_keys,
-)
 from repro.obs import Observability
 from repro.reputation.base import IntervalRatings
 
@@ -129,15 +121,9 @@ class DetectionResult:
         return out
 
 
-def _entries(mat: np.ndarray | sparse.spmatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major ``row * n + col`` keys and values of a dense or SciPy
-    sparse square matrix's nonzero entries (keys ascending)."""
-    if sparse.issparse(mat):
-        csr = mat.tocsr()
-        csr.sum_duplicates()
-        keys = _row_major_keys(csr, csr.shape[1])
-        keep = csr.data != 0
-        return keys[keep], csr.data[keep]
+def _entries(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major ``row * n + col`` keys and values of a square matrix's
+    nonzero entries (keys ascending)."""
     flat = np.asarray(mat).ravel()
     keys = np.flatnonzero(flat != 0)
     return keys, flat[keys]
@@ -195,8 +181,8 @@ class CollusionDetector:
 
     def __init__(
         self,
-        closeness: ClosenessComputer | SparseClosenessComputer,
-        similarity: SimilarityComputer | SparseSimilarityComputer,
+        closeness: ClosenessComputer,
+        similarity: SimilarityComputer,
         config: SocialTrustConfig | None = None,
         *,
         observability: Observability | None = None,
@@ -302,8 +288,8 @@ class CollusionDetector:
         self,
         interval: IntervalRatings,
         reputations: np.ndarray,
-        rated: np.ndarray | sparse.spmatrix,
-        flag_counts: np.ndarray | sparse.spmatrix | None = None,
+        rated: np.ndarray,
+        flag_counts: np.ndarray | None = None,
     ) -> DetectionResult:
         """Analyse one interval.
 
@@ -311,20 +297,18 @@ class CollusionDetector:
         ----------
         interval:
             The interval's rating aggregates.  Only ``pos_counts`` /
-            ``neg_counts`` are read, as dense arrays or SciPy sparse
-            matrices.
+            ``neg_counts`` are read.
         reputations:
             Global reputation vector *before* this interval is ingested
             (behaviour B2 tests the ratee's current standing).
         rated:
-            Cumulative rated mask (dense or sparse), nonzero at ``(i, j)``
+            Cumulative rated mask, nonzero at ``(i, j)``
             when ``i`` has rated ``j`` in any past interval.  The current
             interval is unioned in before band computation ("the nodes
             that n_i has rated").
         flag_counts:
-            Number of *earlier* intervals each pair was flagged in (dense
-            or sparse); drives the recidivism escalation.  ``None`` means
-            no history.
+            Number of *earlier* intervals each pair was flagged in;
+            drives the recidivism escalation.  ``None`` means no history.
         """
         n = self.n_nodes
         cfg = self._config

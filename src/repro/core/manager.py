@@ -34,8 +34,7 @@ from repro.core.closeness import ClosenessComputer
 from repro.core.config import SocialTrustConfig
 from repro.core.detector import CollusionDetector, DetectionResult, Finding
 from repro.core.similarity import SimilarityComputer
-from repro.core.socialtrust import applied_pair_weight, coefficient_computers
-from repro.core.sparse import SparseClosenessComputer, SparseSimilarityComputer
+from repro.core.socialtrust import applied_pair_weight
 from repro.faults.injector import FaultInjector
 from repro.obs import NULL_TRACER, Observability
 from repro.p2p.dht import ChordRing
@@ -151,9 +150,8 @@ class DistributedSocialTrust(ReputationSystem):
         self._tracer = (
             observability.tracer if observability is not None else NULL_TRACER
         )
-        self._closeness, self._similarity = coefficient_computers(
-            social_view, interactions, profiles, self._config, observability
-        )
+        self._closeness = ClosenessComputer(social_view, interactions, self._config)
+        self._similarity = SimilarityComputer(profiles, self._config)
         self._detector = CollusionDetector(
             self._closeness, self._similarity, self._config,
             observability=observability,
@@ -182,11 +180,11 @@ class DistributedSocialTrust(ReputationSystem):
         return self._last_result
 
     @property
-    def closeness_computer(self) -> ClosenessComputer | SparseClosenessComputer:
+    def closeness_computer(self) -> ClosenessComputer:
         return self._closeness
 
     @property
-    def similarity_computer(self) -> SimilarityComputer | SparseSimilarityComputer:
+    def similarity_computer(self) -> SimilarityComputer:
         return self._similarity
 
     def pair_weight(self, rater: int, ratee: int) -> float:

@@ -196,8 +196,8 @@ class SimilarityComputer:
         return out
 
     def pair_values(self, a, b) -> np.ndarray:
-        """``Ωs`` over pair arrays — same gather API as the sparse backend
-        (reads from the cached matrix)."""
+        """``Ωs`` over pair arrays (reads from the cached matrix) — the
+        detector's gather."""
         matrix = self.similarity_matrix()
         i = np.asarray(a, dtype=np.int64)
         j = np.asarray(b, dtype=np.int64)

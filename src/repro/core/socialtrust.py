@@ -15,10 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.closeness import ClosenessComputer
-from repro.core.config import CoefficientBackend, SocialTrustConfig
+from repro.core.config import SocialTrustConfig
 from repro.core.detector import CollusionDetector, DetectionResult
 from repro.core.similarity import SimilarityComputer
-from repro.core.sparse import SparseClosenessComputer, SparseSimilarityComputer
 from repro.obs import NULL_TRACER, Observability
 from repro.reputation.base import IntervalRatings, ReputationSystem
 from repro.social.graph import SocialView
@@ -26,28 +25,6 @@ from repro.social.interactions import InteractionLedger
 from repro.social.interests import InterestProfiles
 
 __all__ = ["SocialTrust"]
-
-
-def coefficient_computers(
-    social_view: SocialView,
-    interactions: InteractionLedger,
-    profiles: InterestProfiles,
-    config: SocialTrustConfig,
-    observability: Observability | None = None,
-) -> tuple[
-    ClosenessComputer | SparseClosenessComputer,
-    SimilarityComputer | SparseSimilarityComputer,
-]:
-    """The Ωc/Ωs computers of the configured coefficient core."""
-    if config.coefficient_backend is CoefficientBackend.SPARSE:
-        closeness = SparseClosenessComputer(social_view, interactions, config)
-        if observability is not None:
-            closeness.bind_metrics(observability.metrics)
-        return closeness, SparseSimilarityComputer(profiles, config)
-    return (
-        ClosenessComputer(social_view, interactions, config),
-        SimilarityComputer(profiles, config),
-    )
 
 
 def applied_pair_weight(
@@ -105,9 +82,8 @@ class SocialTrust(ReputationSystem):
         self._config = config or SocialTrustConfig()
         self._obs = observability
         self._tracer = observability.tracer if observability is not None else NULL_TRACER
-        self._closeness, self._similarity = coefficient_computers(
-            social_view, interactions, profiles, self._config, observability
-        )
+        self._closeness = ClosenessComputer(social_view, interactions, self._config)
+        self._similarity = SimilarityComputer(profiles, self._config)
         self._detector = CollusionDetector(
             self._closeness, self._similarity, self._config,
             observability=observability,
@@ -129,11 +105,11 @@ class SocialTrust(ReputationSystem):
         return self._config
 
     @property
-    def closeness_computer(self) -> ClosenessComputer | SparseClosenessComputer:
+    def closeness_computer(self) -> ClosenessComputer:
         return self._closeness
 
     @property
-    def similarity_computer(self) -> SimilarityComputer | SparseSimilarityComputer:
+    def similarity_computer(self) -> SimilarityComputer:
         return self._similarity
 
     @property

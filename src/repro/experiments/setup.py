@@ -194,7 +194,7 @@ class WorldConfig:
     def __post_init__(self) -> None:
         if isinstance(self.socialtrust, dict):
             object.__setattr__(
-                self, "socialtrust", SocialTrustConfig(**self.socialtrust)
+                self, "socialtrust", SocialTrustConfig.from_dict(self.socialtrust)
             )
         if isinstance(self.faults, dict):
             object.__setattr__(self, "faults", FaultConfig(**self.faults))

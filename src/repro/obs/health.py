@@ -19,11 +19,11 @@ monitor carries a :class:`~repro.obs.export.TelemetrySink` — appended to
 the same JSONL stream as the snapshots it judged.
 
 A metric a rule names but the snapshot lacks is *no data*, not a breach:
-rules for optional subsystems (the distributed manager ladder, the
-sparse coefficient cache) sit dormant on runs without those layers.
+rules for optional subsystems (the distributed manager ladder) sit
+dormant on runs without those layers.
 :func:`default_service_rules` bundles the streaming service's SLOs —
 query p99, sustained events/sec, queue depth, shed rate, rating-flood
-share, degradation-ladder rate and sparse-cache rebuild drift.
+share and degradation-ladder rate.
 """
 
 from __future__ import annotations
@@ -358,14 +358,13 @@ def default_service_rules(
     shed_rate_ceiling: float = 0.01,
     flood_share_ceiling: float = 0.5,
     degraded_per_interval_ceiling: float = 0.0,
-    cache_drift_ceiling: float = 64,
 ) -> tuple[SloRule, ...]:
     """The streaming service's SLO bundle.
 
     ``min_events_per_sec <= 0`` omits the throughput floor (a paused or
-    replay-paced stream is not an outage).  The degradation-ladder and
-    sparse-cache rules read metrics that only exist on distributed /
-    sparse-backend runs and stay dormant otherwise.
+    replay-paced stream is not an outage).  The degradation-ladder rule
+    reads a metric that only exists on distributed runs and stays
+    dormant otherwise.
     """
     rules = [
         SloRule(
@@ -418,14 +417,6 @@ def default_service_rules(
             severity=DEGRADED,
             m=2,
             n=3,
-        ),
-        SloRule(
-            name="cache-drift",
-            metric="sparse.cache.drift",
-            stat="value",
-            op="<=",
-            threshold=cache_drift_ceiling,
-            severity=DEGRADED,
         ),
     ]
     if min_events_per_sec > 0.0:

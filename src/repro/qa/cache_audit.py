@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.closeness import ClosenessComputer
+from repro.core.similarity import SimilarityComputer
 from repro.core.socialtrust import SocialTrust
 
 __all__ = ["CacheAuditReport", "audit_caches", "assert_caches_consistent"]
@@ -71,26 +73,18 @@ def audit_caches(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> CacheAuditReport:
-    """Diff the live Ωc/Ωs caches against a from-scratch recomputation.
-
-    The fresh computers are of the *same backend class* as the audited
-    ones, so a sparse-backend system is audited sparse-vs-fresh-sparse —
-    the incremental CSR caches have the same drift mode as the dense
-    ones (the low-rank T2 correction) and deserve the same bound.
-    """
+    """Diff the live Ωc/Ωs caches against a from-scratch recomputation."""
     closeness = system.closeness_computer
     similarity = system.similarity_computer
     cached_c = np.asarray(closeness.closeness_matrix())
     cached_s = np.asarray(similarity.similarity_matrix())
     fresh_c = np.asarray(
-        type(closeness)(
+        ClosenessComputer(
             closeness.view, closeness.interactions, closeness.config
         ).closeness_matrix()
     )
     fresh_s = np.asarray(
-        type(similarity)(
-            similarity.profiles, similarity.config
-        ).similarity_matrix()
+        SimilarityComputer(similarity.profiles, similarity.config).similarity_matrix()
     )
     c_max, c_bad = _diff(cached_c, fresh_c, rtol, atol)
     s_max, s_bad = _diff(cached_s, fresh_s, rtol, atol)

@@ -391,8 +391,8 @@ class ReputationService:
 
     def save_snapshot(self, path: Any | None = None):
         """Write a ``kind="service"`` checkpoint; returns its path."""
-        # Local import: keep repro.serve importable without scipy-heavy
-        # chaos modules until a snapshot is actually taken.
+        # Local import: keep repro.serve importable without the chaos
+        # package until a snapshot is actually taken.
         from repro.chaos.checkpoint import save_checkpoint
 
         target = path if path is not None else self._snapshot_path
@@ -408,11 +408,14 @@ class ReputationService:
         ``snapshot_path``, ...); the scenario spec always comes from the
         checkpoint header.
         """
-        from repro.chaos.checkpoint import load_scenario_checkpoint
+        from repro.chaos.checkpoint import (
+            load_scenario_checkpoint,
+            restore_checkpoint_state,
+        )
 
         spec, state = load_scenario_checkpoint(path, kind="service")
         service = cls(spec, **kwargs)
-        service.restore(state)
+        restore_checkpoint_state(service.restore, state, path)
         return service
 
     # -- operational stats ---------------------------------------------------

@@ -21,7 +21,7 @@ from repro.social.graph import (
     SocialGraph,
     SocialView,
 )
-from repro.social.interactions import InteractionLedger, SparseInteractionLedger
+from repro.social.interactions import InteractionLedger
 from repro.social.metrics import GraphSummary, summarize_graph
 from repro.social.interests import InterestProfiles
 from repro.social.paths import bfs_distances, common_friends, shortest_path
@@ -33,7 +33,6 @@ __all__ = [
     "SocialGraph",
     "SocialView",
     "InteractionLedger",
-    "SparseInteractionLedger",
     "GraphSummary",
     "summarize_graph",
     "InterestProfiles",

@@ -251,23 +251,6 @@ class SocialGraph:
             out[a, b] = out[b, a] = True
         return out
 
-    def adjacency_csr(self) -> "sparse.csr_matrix":
-        """Boolean adjacency as a CSR matrix, built O(n + m) from the edge
-        set (never densified — this is the 10^5-node entry point for the
-        sparse coefficient backend)."""
-        from scipy import sparse
-
-        m = len(self._rels)
-        rows = np.empty(2 * m, dtype=np.int64)
-        cols = np.empty(2 * m, dtype=np.int64)
-        for k, (a, b) in enumerate(self._rels):
-            rows[2 * k], cols[2 * k] = a, b
-            rows[2 * k + 1], cols[2 * k + 1] = b, a
-        data = np.ones(2 * m, dtype=bool)
-        return sparse.csr_matrix(
-            (data, (rows, cols)), shape=(self._n, self._n), dtype=bool
-        )
-
 
 class AssignedSocialNetwork:
     """A social network defined by an explicit pairwise distance matrix.
@@ -350,12 +333,6 @@ class AssignedSocialNetwork:
         _check_node(self._n, i)
         _check_node(self._n, j)
         return int(self._d[i, j])
-
-    def adjacency_csr(self) -> "sparse.csr_matrix":
-        """Boolean adjacency (assigned distance 1) as a CSR matrix."""
-        from scipy import sparse
-
-        return sparse.csr_matrix(self._d == 1)
 
     def path(self, i: int, j: int) -> list[int]:
         """Shortest path over the distance-1 adjacency graph; [] if none."""

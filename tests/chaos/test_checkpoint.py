@@ -83,37 +83,6 @@ class TestCodec:
         assert restored["series"][1]["x"] == [1, 2]
 
 
-class TestSparseCodec:
-    def test_csr_round_trip_is_exact(self):
-        from scipy import sparse
-
-        dense = np.array([[0.0, 1.5, 0.0], [0.0, 0.0, -2.25], [3.0, 0.0, 0.0]])
-        original = sparse.csr_matrix(dense)
-        encoded = encode_state({"cache": original})
-        assert "__csr__" in encoded["cache"]
-        restored = decode_state(json.loads(json.dumps(encoded)))["cache"]
-        assert sparse.issparse(restored)
-        assert restored.shape == original.shape
-        assert np.array_equal(restored.data, original.data)
-        assert np.array_equal(restored.indices, original.indices)
-        assert np.array_equal(restored.indptr, original.indptr)
-
-    def test_empty_and_explicit_zero_entries_survive(self):
-        from scipy import sparse
-
-        empty = sparse.csr_matrix((4, 4))
-        with_zero = sparse.csr_matrix(
-            (np.array([0.0, 2.0]), (np.array([0, 1]), np.array([1, 2]))),
-            shape=(4, 4),
-        )
-        for original in (empty, with_zero):
-            restored = decode_state(
-                json.loads(json.dumps(encode_state(original)))
-            )
-            assert restored.nnz == original.nnz
-            assert np.array_equal(restored.data, original.data)
-
-
 class TestFileFormat:
     def _checkpoint(self, tmp_path, cycles=2):
         spec = ScenarioSpec.from_build(BUILD, seed=3)
@@ -211,19 +180,6 @@ class TestKillAndResume:
         assert reference_sim.metrics.faults.byzantine_corruptions > 0
 
         resumed = _kill_and_resume_trace(BUILD, 3, 6, 2, tmp_path)
-        diff = diff_traces(reference, resumed, mode="strict")
-        assert diff.ok, diff.report()
-
-    def test_sparse_coefficient_backend_bit_identical(self, tmp_path):
-        # The sparse Ωc caches are CSR matrices; the checkpoint codec must
-        # carry them exactly or the resumed incremental path diverges.
-        build = dict(BUILD, socialtrust={"coefficient_backend": "sparse"})
-        reference_sim = build_scenario(
-            ScenarioSpec.from_build(build, seed=7)
-        ).world.simulation
-        reference = record_cycles(reference_sim, 6)
-
-        resumed = _kill_and_resume_trace(build, 7, 6, 2, tmp_path)
         diff = diff_traces(reference, resumed, mode="strict")
         assert diff.ok, diff.report()
 

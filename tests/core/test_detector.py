@@ -278,3 +278,50 @@ class TestMismatch:
                 SimilarityComputer(profiles, cfg),
                 cfg,
             )
+
+
+class TestEarlyReturn:
+    def test_no_flags_reports_pinned_thresholds(self):
+        # The early return must echo configured pins, not sentinels.
+        cfg = SocialTrustConfig(
+            pos_frequency_threshold=50.0,
+            neg_frequency_threshold=50.0,
+            closeness_low=0.2,
+            closeness_high=0.8,
+            similarity_low=0.1,
+            similarity_high=0.9,
+        )
+        detector, _ = build_detector(cfg)
+        iv = interval_with([(0, 1, 1.0, 1)])  # below threshold: no flags
+        result = detector.analyze(iv, np.full(N, 1.0 / N), iv.counts > 0)
+        assert not result.findings
+        assert result.thresholds.closeness_low == 0.2
+        assert result.thresholds.closeness_high == 0.8
+        assert result.thresholds.similarity_low == 0.1
+        assert result.thresholds.similarity_high == 0.9
+
+    def test_no_flags_unpinned_reports_open_band(self):
+        detector, _ = build_detector(SocialTrustConfig())
+        iv = IntervalRatings(N)
+        result = detector.analyze(iv, np.full(N, 1.0 / N), iv.counts > 0)
+        assert not result.findings
+        assert result.thresholds.closeness_low == 0.0
+        assert result.thresholds.closeness_high == np.inf
+
+
+class TestDetectionResult:
+    def test_weights_built_lazily_and_once(self):
+        detector, _ = build_detector()
+        iv = interval_with(background_ratings() + [(0, 1, 1.0, 40)])
+        result = detector.analyze(iv, np.zeros(N), np.zeros((N, N), dtype=bool))
+        assert "weights" not in vars(result), "dense weights built eagerly"
+        assert result.pairs.shape == (result.pair_weights.shape[0], 2)
+        assert result.pairs.shape[0] > 0
+        assert np.all(result.pair_weights <= 1.0)
+        assert np.any(result.pair_weights < 1.0)
+        dense_w = result.weights
+        assert dense_w.shape == (N, N)
+        assert result.weights is dense_w, "dense weights rebuilt per access"
+        ones = np.ones((N, N))
+        ones[result.pairs[:, 0], result.pairs[:, 1]] = result.pair_weights
+        np.testing.assert_array_equal(dense_w, ones)

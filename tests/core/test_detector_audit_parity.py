@@ -6,22 +6,19 @@ evaluates every pair on dense matrices.  Both emit one audit event per
 frequency-flagged pair, so this pins that the *story told to the
 operator* — which pairs were examined, which thresholds fired, which
 behaviour classes matched, and what weight was applied — and the
-returned result are the same on both coefficient cores, under every
-centring policy and detector switch.
+returned result are the same under every centring policy and detector
+switch.
 """
 
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from repro.core.closeness import ClosenessComputer
 from repro.core.config import SocialTrustConfig
 from repro.core.detector import CollusionDetector
 from repro.core.similarity import SimilarityComputer
-from repro.core.sparse import SparseClosenessComputer, SparseSimilarityComputer
 from repro.obs import Observability
 from repro.qa.reference import reference_analyze
 from repro.reputation.base import IntervalRatings
@@ -81,23 +78,17 @@ def audit_by_pair(obs):
     return events
 
 
-def detector(core, cfg, network, ledger, profiles, obs):
-    if core == "sparse":
-        closeness = SparseClosenessComputer(network, ledger, cfg)
-        similarity = SparseSimilarityComputer(profiles, cfg)
-    else:
-        closeness = ClosenessComputer(network, ledger, cfg)
-        similarity = SimilarityComputer(profiles, cfg)
+def detector(cfg, network, ledger, profiles, obs):
+    closeness = ClosenessComputer(network, ledger, cfg)
+    similarity = SimilarityComputer(profiles, cfg)
     return CollusionDetector(closeness, similarity, cfg, observability=obs)
 
 
-def run_both(core="sparse", history=True, **overrides):
+def run_both(history=True, **overrides):
     """One interval through the production pass and the oracle.
 
-    The production pass gets CSR inputs on the sparse core and dense ones
-    on the dense core; the oracle always gets dense inputs.  The rated
-    mask reaches beyond the interval's active pairs so per-rater bands
-    cover cumulative history.
+    The rated mask reaches beyond the interval's active pairs so per-rater
+    bands cover cumulative history.
     """
     network, ledger, profiles, rng = make_world()
     interval = make_interval(rng)
@@ -109,28 +100,16 @@ def run_both(core="sparse", history=True, **overrides):
         flag_counts = np.zeros((N, N))
         flag_counts[0, 1] = 2.0
         flag_counts[5, 6] = 1.0
-    cfg = SocialTrustConfig(coefficient_backend=core, **overrides)
+    cfg = SocialTrustConfig(**overrides)
 
     want_obs = Observability(tracing=False)
     want = reference_analyze(
-        detector(core, cfg, network, ledger, profiles, want_obs),
+        detector(cfg, network, ledger, profiles, want_obs),
         interval, reputations, rated, flag_counts,
     )
     got_obs = Observability(tracing=False)
-    production = detector(core, cfg, network, ledger, profiles, got_obs)
-    if core == "sparse":
-        csr_interval = SimpleNamespace(
-            pos_counts=sparse.csr_matrix(interval.pos_counts),
-            neg_counts=sparse.csr_matrix(interval.neg_counts),
-        )
-        got = production.analyze(
-            csr_interval,
-            reputations,
-            sparse.csr_matrix(rated),
-            None if flag_counts is None else sparse.csr_matrix(flag_counts),
-        )
-    else:
-        got = production.analyze(interval, reputations, rated, flag_counts)
+    production = detector(cfg, network, ledger, profiles, got_obs)
+    got = production.analyze(interval, reputations, rated, flag_counts)
     return want_obs, got_obs, want, got
 
 
@@ -209,14 +188,13 @@ SWITCHES = {"both": (True, True), "closeness": (True, False), "similarity": (Fal
 
 
 @pytest.mark.parametrize(
-    "core,center,switches,cap,history",
+    "center,switches,cap,history",
     [
         pytest.param(
-            core, center, switches, cap, history,
-            id=f"{core}-{center}-{switches}-cap{int(cap)}-hist{int(history)}",
+            center, switches, cap, history,
+            id=f"dense-{center}-{switches}-cap{int(cap)}-hist{int(history)}",
         )
-        for core, center, switches, cap, history in itertools.product(
-            ("dense", "sparse"),
+        for center, switches, cap, history in itertools.product(
             ("auto", "rater", "global"),
             tuple(SWITCHES),
             (True, False),
@@ -224,10 +202,9 @@ SWITCHES = {"both": (True, True), "closeness": (True, False), "similarity": (Fal
         )
     ],
 )
-def test_production_matches_oracle(core, center, switches, cap, history):
+def test_production_matches_oracle(center, switches, cap, history):
     use_closeness, use_similarity = SWITCHES[switches]
     want_obs, got_obs, want, got = run_both(
-        core,
         history,
         center=center,
         use_closeness=use_closeness,

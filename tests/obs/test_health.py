@@ -162,7 +162,7 @@ class TestDeltaAndRatio:
 class TestMissingMetrics:
     def test_absent_metric_is_dormant_not_breached(self):
         rule = SloRule(
-            name="drift", metric="sparse.cache.drift", stat="value", op="<=",
+            name="drift", metric="absent.gauge", stat="value", op="<=",
             threshold=64,
         )
         monitor = HealthMonitor([rule])
@@ -230,6 +230,5 @@ class TestReplayAndSink:
             "shed-rate",
             "flood-share",
             "degraded-ladder",
-            "cache-drift",
             "events-per-sec",
         } <= names

@@ -1,7 +1,5 @@
 """Tests for the interaction-frequency ledger."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -99,25 +97,6 @@ class TestInteractionLedger:
         row_sums = m.sum(axis=1)
         assert np.all((np.abs(row_sums - 1) < 1e-9) | (row_sums == 0))
 
-    def test_share_pairs_never_copies_rows(self):
-        # Row totals are read from one (n,) reduction: gathering a full
-        # row per pair would allocate m x n floats (64 MB here).
-        n, m = 400, 20_000
-        rng = np.random.default_rng(0)
-        ledger = InteractionLedger(n)
-        src = rng.integers(0, n, 4 * m)
-        ledger.record_many(src, (src + rng.integers(1, n, 4 * m)) % n)
-        raters = rng.integers(0, n, m)
-        ratees = rng.integers(0, n, m)
-        tracemalloc.start()
-        try:
-            got = ledger.share_pairs(raters, ratees)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20, f"share_pairs peaked at {peak / 2**20:.1f} MiB"
-        np.testing.assert_array_equal(got, ledger.share_matrix()[raters, ratees])
-
 
 class TestDecayNodes:
     def _ledger(self):
@@ -209,107 +188,3 @@ class TestVersionTracking:
         changed = set(ledger.rows_changed_since(version).tolist())
         # Node 1's own row plus every rater whose column-1 entry rescaled.
         assert changed == {0, 1, 3}
-
-
-class TestSparseInteractionLedger:
-    """The CSR ledger must mirror the dense ledger's observable semantics."""
-
-    def _twin(self, n=6):
-        from repro.social.interactions import SparseInteractionLedger
-
-        return InteractionLedger(n), SparseInteractionLedger(n)
-
-    def _hammer(self, dense, sp, seed=0):
-        rng = np.random.default_rng(seed)
-        for step in range(60):
-            i, j = (int(v) for v in rng.integers(0, 6, 2))
-            if i != j:
-                count = float(rng.integers(1, 4))
-                dense.record(i, j, count)
-                sp.record(i, j, count)
-            if step % 7 == 0:
-                nodes = np.unique(rng.integers(0, 6, 2))
-                dense.decay_nodes(nodes, 0.5)
-                sp.decay_nodes(nodes, 0.5)
-
-    def test_matches_dense_after_mixed_traffic(self):
-        dense, sp = self._twin()
-        self._hammer(dense, sp)
-        np.testing.assert_allclose(
-            sp.counts_matrix(), dense.counts_matrix(), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            sp.share_matrix(), dense.share_matrix(), atol=1e-12
-        )
-        for i in range(6):
-            assert sp.total_out(i) == pytest.approx(dense.total_out(i))
-            for j in range(6):
-                assert sp.frequency(i, j) == pytest.approx(dense.frequency(i, j))
-                assert sp.share(i, j) == pytest.approx(dense.share(i, j))
-
-    def test_version_protocol_matches_dense(self):
-        dense, sp = self._twin()
-        v_dense, v_sp = dense.version, sp.version
-        dense.record(2, 0)
-        sp.record(2, 0)
-        assert sp.rows_changed_since(v_sp).tolist() == \
-            dense.rows_changed_since(v_dense).tolist() == [2]
-
-    def test_decay_touches_raters_of_decayed_columns(self):
-        dense, sp = self._twin()
-        for ledger in (dense, sp):
-            ledger.record(0, 1)
-            ledger.record(3, 1)
-        v_dense, v_sp = dense.version, sp.version
-        dense.decay_nodes(np.array([1]), 0.5)
-        sp.decay_nodes(np.array([1]), 0.5)
-        assert set(sp.rows_changed_since(v_sp).tolist()) == \
-            set(dense.rows_changed_since(v_dense).tolist()) == {0, 1, 3}
-
-    def test_share_pairs_samples_share_matrix(self):
-        dense, sp = self._twin()
-        self._hammer(dense, sp, seed=3)
-        raters = np.array([0, 1, 2, 4])
-        ratees = np.array([1, 0, 5, 2])
-        want = dense.share_matrix()[raters, ratees]
-        np.testing.assert_allclose(sp.share_pairs(raters, ratees), want, atol=1e-12)
-        np.testing.assert_allclose(
-            dense.share_pairs(raters, ratees), want, atol=1e-12
-        )
-
-    def test_validation_matches_dense(self):
-        _, sp = self._twin()
-        with pytest.raises(ValueError):
-            sp.record(1, 1)
-        with pytest.raises(ValueError):
-            sp.record(0, 1, -2.0)
-        with pytest.raises(ValueError):
-            sp.record_many(np.array([0, 1]), np.array([1, 1]))
-
-    def test_state_roundtrip(self):
-        from repro.social.interactions import SparseInteractionLedger
-
-        dense, sp = self._twin()
-        self._hammer(dense, sp, seed=5)
-        other = SparseInteractionLedger(6)
-        other.restore_state(sp.state_dict())
-        np.testing.assert_array_equal(other.counts_matrix(), sp.counts_matrix())
-        assert other.version == sp.version
-
-    def test_restore_rejects_wrong_shape(self):
-        from scipy import sparse
-
-        from repro.social.interactions import SparseInteractionLedger
-
-        _, sp = self._twin()
-        state = sp.state_dict()
-        state["counts_csr"] = sparse.csr_matrix((7, 7))
-        with pytest.raises(ValueError):
-            SparseInteractionLedger(6).restore_state(state)
-
-    def test_reset_clears_everything(self):
-        _, sp = self._twin()
-        sp.record(0, 1, 2.0)
-        sp.reset()
-        assert sp.total_out(0) == 0.0
-        assert sp.counts_matrix().sum() == 0.0

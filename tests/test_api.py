@@ -215,7 +215,7 @@ def test_all_audit_importable_and_documented(module_name):
             assert obj.__doc__, f"{module_name}.{name} lacks a docstring"
 
 
-def test_api_version_is_4():
+def test_api_version_is_5():
     import repro
 
-    assert repro.API_VERSION == "4.0"
+    assert repro.API_VERSION == "5.0"

@@ -108,9 +108,10 @@ class TestSimulateChaosErrors:
         assert "resumed" not in captured.out
         assert not trace.exists()
 
-    def test_resume_checkpoint_with_engine_field(self, tmp_path, capsys):
-        """Checkpoints written before the engine knob was removed carry
-        ``build.engine``; resuming one is a config error naming it."""
+    @staticmethod
+    def _checkpoint_with_build(tmp_path, capsys, **build):
+        """A finished SMALL_WORLD checkpoint whose header's build mapping
+        is updated with ``build`` (the state line is left as written)."""
         ck = tmp_path / "ck.jsonl"
         code = main(
             ["simulate", *SMALL_WORLD, "--checkpoint", str(ck), "--checkpoint-every", "2"]
@@ -118,11 +119,53 @@ class TestSimulateChaosErrors:
         assert code == 0
         header, state = ck.read_text().splitlines()
         header = json.loads(header)
-        header["build"]["engine"] = "batched"
+        header["build"].update(build)
         ck.write_text(json.dumps(header) + "\n" + state + "\n")
         capsys.readouterr()
+        return ck
+
+    def test_resume_checkpoint_with_engine_field(self, tmp_path, capsys):
+        """Checkpoints written before the engine knob was removed carry
+        ``build.engine``; resuming one is a config error naming it."""
+        ck = self._checkpoint_with_build(tmp_path, capsys, engine="batched")
         assert main(["simulate", "--resume", str(ck)]) == EXIT_CONFIG
         assert "['engine']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("coefficient_backend", "sparse"),
+            ("sparse_top_k", 8),
+            ("cache_rebuild_interval", 64),
+        ],
+    )
+    def test_resume_checkpoint_with_removed_socialtrust_key(
+        self, tmp_path, capsys, key, value
+    ):
+        """The sparse coefficient core and its knobs are gone; a header
+        whose ``socialtrust`` still carries one is refused by name."""
+        ck = self._checkpoint_with_build(tmp_path, capsys, socialtrust={key: value})
+        assert main(["simulate", "--resume", str(ck)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert "resumed" not in captured.out
+
+    @pytest.mark.parametrize(
+        "build, missing",
+        [
+            ({"system": "PowerTrust+SocialTrust"}, "power_nodes"),
+            ({"n_managers": 3}, "last_weights"),
+        ],
+        ids=["other-system", "other-managers"],
+    )
+    def test_resume_state_not_matching_header(self, tmp_path, capsys, build, missing):
+        """State written by another scenario than its header names is a
+        config error saying so, not a bare KeyError."""
+        ck = self._checkpoint_with_build(tmp_path, capsys, **build)
+        assert main(["simulate", "--resume", str(ck)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "checkpoint state does not match its header" in err
+        assert f"'{missing}'" in err
 
     def test_resume_missing_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"

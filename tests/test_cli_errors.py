@@ -78,6 +78,28 @@ class TestUnknownCommands:
         assert "--engine" in capsys.readouterr().err
 
 
+class TestMemoryPreflight:
+    @pytest.mark.parametrize(
+        "command", [["simulate"], ["serve", "--events", "-"]], ids=["simulate", "serve"]
+    )
+    def test_oversized_world_exits_2_before_building(
+        self, command, monkeypatch, capsys
+    ):
+        import repro.api as api
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the world was built despite the refusal")
+
+        monkeypatch.setattr(api, "build_world", no_build)
+        monkeypatch.setattr(api, "_physical_memory_bytes", lambda: 2**30)
+        code = main([*command, "--nodes", "5000", "--pretrusted", "3", "--colluders", "5"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        # 79 MiB + 288 B x 5000^2 ~ 6945 MiB, against the 1024 MiB limit.
+        assert "n_nodes=5000 needs an estimated 6,945 MiB" in err
+        assert "1,024 MiB of physical memory" in err
+
+
 class TestQaRecordCheck:
     def test_record_refuses_overwrite_without_update(
         self, fast_goldens, tmp_path, capsys

@@ -67,6 +67,19 @@ class TestModeValidation:
         assert main(["serve", "--events", str(path)]) == EXIT_CONFIG
         assert "['engine']" in capsys.readouterr().err
 
+    def test_stream_header_with_sparse_coefficient_core(
+        self, recorded_stream, tmp_path, capsys
+    ):
+        """The sparse coefficient core is gone; a stream header selecting
+        it is a config error naming the key."""
+        header, *events = recorded_stream.read_text().splitlines()
+        header = json.loads(header)
+        header["spec"]["world"]["socialtrust"] = {"coefficient_backend": "sparse"}
+        path = tmp_path / "sparse.jsonl"
+        path.write_text("\n".join([json.dumps(header), *events]) + "\n")
+        assert main(["serve", "--events", str(path)]) == EXIT_CONFIG
+        assert "coefficient_backend" in capsys.readouterr().err
+
     def test_bad_listen_spec(self, capsys):
         assert main(["serve", *SMALL, "--listen", "9999"]) == EXIT_CONFIG
         assert "HOST:PORT" in capsys.readouterr().err

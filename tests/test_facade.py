@@ -109,6 +109,38 @@ class TestBuildScenario:
         assert np.array_equal(by_hand.history, ran.history)
         assert by_hand.summary() == ran.summary()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("coefficient_backend", "sparse"),
+            ("sparse_top_k", 8),
+            ("cache_rebuild_interval", 64),
+        ],
+    )
+    def test_removed_socialtrust_keys_refused(self, key, value):
+        # The dense core is the only coefficient core (API 5.0): the keys
+        # that selected or tuned the sparse one are refused by name.
+        world = spec(system="EigenTrust+SocialTrust", socialtrust={key: value})
+        with pytest.raises(ValueError, match=key):
+            build_scenario(world)
+
+    def test_world_beyond_physical_memory_refused_before_building(
+        self, monkeypatch
+    ):
+        import repro.api as api
+
+        need = api._estimate_state_bytes(SMALL["n_nodes"])
+        monkeypatch.setattr(api, "_physical_memory_bytes", lambda: need)
+        assert build_scenario(spec()).config.n_nodes == SMALL["n_nodes"]
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the world was built despite the refusal")
+
+        monkeypatch.setattr(api, "build_world", no_build)
+        monkeypatch.setattr(api, "_physical_memory_bytes", lambda: need - 1)
+        with pytest.raises(ValueError, match=r"n_nodes=24 needs an estimated"):
+            build_scenario(spec())
+
     def test_scenario_exposes_world_parts(self):
         scenario = build_scenario(spec())
         assert isinstance(scenario, Scenario)
@@ -156,7 +188,7 @@ class TestScenarioSpecContract:
         "world",
         [
             {"interests_per_node": (1, 3)},
-            {"socialtrust": {"coefficient_backend": "sparse"}},
+            {"socialtrust": {"center": "global", "min_band_size": 5}},
             {
                 "n_managers": 3,
                 "chaos": {
